@@ -33,7 +33,7 @@ from .metrics import (
     tag_census,
     wer,
 )
-from .pitch import F0Frame, F0Track, estimate_f0_track, median_f0
+from .pitch import F0Track, estimate_f0_track, median_f0
 from .prosody import (
     PairingError,
     PipelineConfig,

@@ -89,6 +89,10 @@ def _decode_pcm(raw: bytes, bits: int, audio_format: int) -> np.ndarray:
         if bits != 32:
             raise UnsupportedFormatError(f"{bits}-bit float WAV not supported")
         data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            # one NaN would spread through peak normalization to every sample
+            raise UnsupportedFormatError(f"non-finite float sample at index {bad[0]}")
         return np.clip(data, -1.0, 1.0)
     if audio_format != 1:
         raise UnsupportedFormatError(f"WAV audio format tag {audio_format} not supported")

@@ -29,7 +29,6 @@ from .prosody import (
     read_delta_records,
 )
 from .syntagms import FunctionWordLexicon
-from .textgrid import TextGridParseError
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -100,12 +99,7 @@ def segment(audio, output, threshold_dbfs, min_gap_ms):
 
 
 def _annotate_one(args):
-    pair, cfg, lexicon_path, emit_options = args
-    lexicon = (
-        FunctionWordLexicon.from_file(lexicon_path)
-        if lexicon_path
-        else FunctionWordLexicon.default()
-    )
+    pair, cfg, lexicon, emit_options = args
     result = pipeline.annotate_pair(pair, cfg, lexicon, emit_options)
     pipeline.write_pair_result(result, pair.output_dir)
     return result
@@ -137,10 +131,9 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         _fail(EXIT_EMPTY, "manifest contains no pairs")
     try:
         cfg = build_config(config, manifest_overrides)
-    except UnreadableFileError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_FORMAT, str(exc))
+        words = FunctionWordLexicon.from_file(lexicon) if lexicon else FunctionWordLexicon.default()
+    except (UnreadableFileError, OSError, ValueError) as exc:
+        _fail(_classify(exc), str(exc))
     emit_options = ssml.EmitOptions(
         azure_silence_wrap=azure_silence_wrap,
         full_document=full_document,
@@ -150,7 +143,7 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     )
     jobs = jobs or None
     worst = EXIT_OK
-    tasks = [(pair, cfg, lexicon, emit_options) for pair in pairs]
+    tasks = [(pair, cfg, words, emit_options) for pair in pairs]
     results: list = []
     if jobs == 1 or len(pairs) == 1:
         for task in tasks:
@@ -182,10 +175,8 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
 def _classify(exc: Exception) -> int:
     if isinstance(exc, (ProsodyPairingError, metrics.PairingError)):
         return EXIT_PAIRING
-    if isinstance(exc, UnreadableFileError) or isinstance(exc, OSError):
+    if isinstance(exc, (UnreadableFileError, OSError)):
         return EXIT_IO
-    if isinstance(exc, (AudioError, TextGridParseError, ssml.SsmlParseError, ValueError)):
-        return EXIT_FORMAT
     return EXIT_FORMAT
 
 

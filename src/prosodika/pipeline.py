@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -160,22 +161,32 @@ def measure_features(
 
 
 def assign_segments(syntagms: list[Syntagm], segments: list[SegmentBounds]) -> list[int]:
-    """Index of the audio segment each syntagm belongs to (max time overlap,
-    nearest midpoint as fallback, 0 when no segments were detected)."""
+    """Index of the audio segment each syntagm belongs to: the first segment
+    with the largest positive time overlap, else the nearest midpoint (first
+    on ties), 0 when no segments were detected. Segments must be sorted and
+    disjoint, as detect_speech_segments returns them."""
     if not segments:
         return [0] * len(syntagms)
+    if any(a.end_ms > b.start_ms for a, b in zip(segments, segments[1:])):
+        raise ValueError("segments must be sorted and disjoint")
+    starts = [seg.start_ms for seg in segments]
+    ends = [seg.end_ms for seg in segments]
     out = []
     for s in syntagms:
+        # segments lo..hi-1 end after the syntagm starts and start before it ends
+        lo, hi = bisect_right(ends, s.start_ms), bisect_left(starts, s.end_ms)
         best, best_overlap = None, 0
-        for k, seg in enumerate(segments):
-            overlap = min(s.end_ms, seg.end_ms) - max(s.start_ms, seg.start_ms)
+        for k in range(lo, hi):
+            overlap = min(s.end_ms, ends[k]) - max(s.start_ms, starts[k])
             if overlap > best_overlap:
                 best, best_overlap = k, overlap
         if best is None:
+            # the syntagm lies in the gap before segment lo: only the segments
+            # on either side of that gap can have the nearest midpoint
             mid = (s.start_ms + s.end_ms) / 2.0
             best = min(
-                range(len(segments)),
-                key=lambda k: abs((segments[k].start_ms + segments[k].end_ms) / 2.0 - mid),
+                range(max(lo - 1, 0), min(lo + 1, len(segments))),
+                key=lambda k: abs((starts[k] + ends[k]) / 2.0 - mid),
             )
         out.append(best)
     return out
@@ -204,24 +215,12 @@ def annotate_pair(
     )
     seg_of = assign_segments(nat_syntagms, segments)
 
-    records = [
-        delta_record(
-            s.text,
-            d,
-            pair=pair.name,
-            segment=seg_of[i],
-            start_ms=s.start_ms,
-            end_ms=s.end_ms,
-            word_count=s.word_count,
-        )
-        for i, (s, d) in enumerate(zip(nat_syntagms, deltas))
-    ]
-    ssml_lines = []
-    for k in sorted(set(seg_of)):
-        group = [
-            (nat_syntagms[i].text, deltas[i]) for i in range(len(deltas)) if seg_of[i] == k
-        ]
-        ssml_lines.append(emit(group, emit_options))
+    records, groups = [], {}
+    for k, s, d in zip(seg_of, nat_syntagms, deltas):
+        records.append(delta_record(s.text, d, pair=pair.name, segment=k, start_ms=s.start_ms,
+                                    end_ms=s.end_ms, word_count=s.word_count))
+        groups.setdefault(k, []).append((s.text, d))
+    ssml_lines = [emit(groups[k], emit_options) for k in sorted(groups)]
 
     n_flagged = sum(1 for d in deltas if d.flags)
     log_lines = [

@@ -4,11 +4,13 @@ The estimator is a difference-function autocorrelation with cumulative-mean
 normalization (YIN-style): per frame, d(tau) is the energy of the residual
 between the frame and its tau-shifted copy, normalized by its running mean.
 A frame is voiced when the normalized difference dips below the confidence
-threshold inside the [fmin, fmax] lag range; the dip location is refined by
-parabolic interpolation and converted to Hz.
+threshold inside the [fmin, fmax] lag range (YIN's absolute-threshold step);
+the dip location is refined by parabolic interpolation and converted to Hz.
 
-Everything is vectorized over frames; long files are processed in batches to
-bound memory.
+A track is one read-only structured array with a ``time_ms`` field (frame
+centers, ascending) and an ``f0_hz`` field that is NaN on unvoiced frames.
+Everything, dip picking included, is vectorized over frames; long files are
+processed in batches to bound memory.
 """
 
 from __future__ import annotations
@@ -16,52 +18,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, SegmentBounds
 
 VOICING_THRESHOLD = 0.15
 _BATCH_FRAMES = 4096
+FRAME_DTYPE = np.dtype([("time_ms", np.float64), ("f0_hz", np.float64)])
 
 
-@dataclass(frozen=True)
-class F0Frame:
-    time_ms: float
-    f0_hz: float | None
-    voiced: bool
+@dataclass(frozen=True, eq=False)
+class F0Track:
+    """One record per frame: ``time_ms`` ascending, ``f0_hz`` NaN when unvoiced."""
+
+    frames: np.ndarray
 
     def __post_init__(self):
-        if self.voiced != (self.f0_hz is not None):
-            raise ValueError("f0_hz must be present exactly when voiced")
+        if np.any(np.diff(self.frames["time_ms"]) < 0):
+            raise ValueError("frame times must be ascending")
+        self.frames.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class F0Track:
-    frames: tuple[F0Frame, ...]
-
-    def voiced_values(self, bounds: SegmentBounds | None = None) -> list[float]:
-        out = []
-        for fr in self.frames:
-            if bounds is not None and not (bounds.start_ms <= fr.time_ms < bounds.end_ms):
-                continue
-            if fr.voiced:
-                out.append(fr.f0_hz)
-        return out
+    @classmethod
+    def from_arrays(cls, time_ms, f0_hz) -> "F0Track":
+        frames = np.empty(len(time_ms), FRAME_DTYPE)
+        frames["time_ms"], frames["f0_hz"] = time_ms, f0_hz
+        return cls(frames)
 
 
 def _cmndf_batch(frames: np.ndarray, w: int, lag_max: int) -> np.ndarray:
     """Cumulative-mean-normalized difference function, rows = frames."""
     n, frame_len = frames.shape
-    nfft = 1
-    while nfft < frame_len * 2:
-        nfft *= 2
+    # lag_max <= w and frame_len >= 2w, so no lag wraps around at this size
+    nfft = 1 << (frame_len - 1).bit_length()
     # cross-correlation of the w-sample window against the full frame
     spec_full = np.fft.rfft(frames, nfft, axis=1)
     spec_win = np.fft.rfft(frames[:, :w], nfft, axis=1)
     cross = np.fft.irfft(spec_full * np.conj(spec_win), nfft, axis=1)[:, : lag_max + 1]
     sq = np.concatenate([np.zeros((n, 1)), np.cumsum(frames * frames, axis=1)], axis=1)
     e0 = sq[:, w] - sq[:, 0]
-    lags = np.arange(lag_max + 1)
-    e_tau = sq[:, lags + w] - sq[:, lags]
+    e_tau = sq[:, w : w + lag_max + 1] - sq[:, : lag_max + 1]
     diff = np.maximum(e0[:, None] + e_tau - 2.0 * cross, 0.0)
     running = np.cumsum(diff[:, 1:], axis=1)
     tau = np.arange(1, lag_max + 1, dtype=np.float64)
@@ -70,28 +65,28 @@ def _cmndf_batch(frames: np.ndarray, w: int, lag_max: int) -> np.ndarray:
     return np.concatenate([np.ones((n, 1)), norm], axis=1)
 
 
-def _pick_f0(row: np.ndarray, lag_min: int, lag_max: int, sample_rate: int,
-             fmin: float, fmax: float, threshold: float) -> float | None:
-    j = lag_min
-    dip = None
-    while j <= lag_max:
-        if row[j] < threshold:
-            while j + 1 <= lag_max and row[j + 1] < row[j]:
-                j += 1
-            dip = j
-            break
-        j += 1
-    if dip is None:
-        return None
-    if 0 < dip < lag_max:
-        a, b, c = row[dip - 1], row[dip], row[dip + 1]
-        denom = a - 2.0 * b + c
-        delta = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-    else:
-        delta = 0.0
-    f0 = sample_rate / (dip + delta)
-    return float(min(max(f0, fmin), fmax))
+def _pick_f0(cmndf: np.ndarray, lag_min: int, sample_rate: int,
+             fmin: float, fmax: float, threshold: float) -> np.ndarray:
+    """f0 per CMNDF row (lags 0..lag_max); NaN where no lag >= lag_min dips
+    below the threshold."""
+    lag_max = cmndf.shape[1] - 1
+    if lag_min > lag_max:
+        return np.full(len(cmndf), np.nan)
+    seg = cmndf[:, lag_min:]
+    below = seg < threshold
+    # walk downhill from the first candidate to the first non-decreasing step
+    stop = np.ones(seg.shape, dtype=bool)
+    stop[:, :-1] = ~(seg[:, 1:] < seg[:, :-1])
+    stop &= np.arange(seg.shape[1]) >= below.argmax(axis=1)[:, None]
+    dip = lag_min + stop.argmax(axis=1)
+    around = np.minimum(dip[:, None] + np.array([-1, 0, 1]), lag_max)
+    a, b, c = np.take_along_axis(cmndf, around, axis=1).T
+    denom = a - 2.0 * b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(denom) > 1e-12, 0.5 * (a - c) / denom, 0.0)
+    delta = np.where(dip < lag_max, np.clip(delta, -0.5, 0.5), 0.0)
+    f0 = np.minimum(np.maximum(sample_rate / (dip + delta), fmin), fmax)
+    return np.where(below.any(axis=1), f0, np.nan)
 
 
 def estimate_f0_track(
@@ -105,7 +100,7 @@ def estimate_f0_track(
     """Track f0 over the buffer, one frame per hop.
 
     The frame must span at least two periods of ``fmin``; frame times are
-    frame centers. Unvoiced frames (no confident dip) carry no f0.
+    frame centers. Unvoiced frames (no confident dip) carry NaN f0.
     """
     if frame_ms < 2000.0 / fmin:
         raise ValueError(
@@ -121,25 +116,23 @@ def estimate_f0_track(
     lag_min = max(2, int(sr // fmax))
     n_frames = max(0, (len(buf.samples) - frame_len) // hop + 1)
 
-    frames_out: list[F0Frame] = []
-    for base in range(0, n_frames, _BATCH_FRAMES):
-        count = min(_BATCH_FRAMES, n_frames - base)
-        idx = (np.arange(count)[:, None] * hop + base * hop) + np.arange(frame_len)[None, :]
-        cmndf = _cmndf_batch(buf.samples[idx], w, lag_max)
-        for k in range(count):
-            i = base + k
-            time_ms = (i * hop + frame_len / 2.0) * 1000.0 / sr
-            f0 = _pick_f0(cmndf[k], lag_min, lag_max, sr, fmin, fmax, threshold)
-            frames_out.append(F0Frame(time_ms, f0, f0 is not None))
-    return F0Track(tuple(frames_out))
+    f0 = np.full(n_frames, np.nan)
+    if n_frames:
+        windows = sliding_window_view(buf.samples, frame_len)[::hop]
+        for base in range(0, n_frames, _BATCH_FRAMES):
+            cmndf = _cmndf_batch(windows[base : base + _BATCH_FRAMES], w, lag_max)
+            f0[base : base + len(cmndf)] = _pick_f0(cmndf, lag_min, sr, fmin, fmax, threshold)
+    time_ms = (np.arange(n_frames) * hop + frame_len / 2.0) * 1000.0 / sr
+    return F0Track.from_arrays(time_ms, f0)
 
 
 def median_f0(track: F0Track, bounds: SegmentBounds) -> float | None:
-    """Median of voiced-frame f0 inside the bounds; None when none are voiced.
+    """Median of voiced-frame f0 over frames with start_ms <= time < end_ms;
+    None when none are voiced.
 
     Even counts use the midpoint of the two central values.
     """
-    values = track.voiced_values(bounds)
-    if not values:
-        return None
-    return float(np.median(values))
+    lo, hi = np.searchsorted(track.frames["time_ms"], [bounds.start_ms, bounds.end_ms])
+    values = track.frames["f0_hz"][lo:hi]
+    values = values[~np.isnan(values)]
+    return float(np.median(values)) if values.size else None

@@ -40,8 +40,11 @@ _QUANT_EPS = 0.005 + 1e-9
 
 class SsmlParseError(Exception):
     def __init__(self, message: str, offset: int):
-        super().__init__(f"offset {offset}: {message}")
+        super().__init__(message, offset)  # both in args, so the error survives pickling
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"offset {self.offset}: {self.args[0]}"
 
 
 class SsmlValidationError(Exception):

@@ -15,8 +15,11 @@ from pathlib import Path
 
 class TextGridParseError(Exception):
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)  # both in args, so the error survives pickling
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,14 @@ class TestLoadWav:
         assert buf.samples[0] == pytest.approx(0.25)
         assert buf.samples[2] == 1.0  # clipped into range
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_rejected(self, tmp_path, bad):
+        path = tmp_path / "f32.wav"
+        data = np.array([0.25, bad, -0.5], dtype="<f4").tobytes()
+        write_wav_raw(path, data, 16000, channels=1, bits=32, audio_format=3)
+        with pytest.raises(UnsupportedFormatError, match=r"f32\.wav: .*index 1"):
+            load_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableFileError):
             load_wav(tmp_path / "absent.wav")

@@ -85,6 +85,31 @@ class TestSegment:
         result = runner.invoke(main, ["segment", str(bad)])
         assert result.exit_code == 3
 
+    def test_non_finite_float_exit_3(self, runner, tmp_path):
+        from conftest import write_wav_raw
+
+        bad = tmp_path / "nan.wav"
+        data = np.array([0.0, np.nan] * 8000, dtype="<f4").tobytes()
+        write_wav_raw(bad, data, 16000, channels=1, bits=32, audio_format=3)
+        result = runner.invoke(main, ["segment", str(bad)])
+        assert result.exit_code == 3
+        assert "nan.wav" in result.output
+
+
+def two_pairs_one_bad_grid(root):
+    """Manifest of two 5-syntagm pairs; the natural grid of 'bad' has a
+    non-numeric interval end. Returns (manifest, bad grid line number)."""
+    manifest_path = build_e2e_corpus(root, n_syntagms=5)
+    data = json.loads(manifest_path.read_text())
+    lines = (root / "nat.TextGrid").read_text(encoding="utf-8").splitlines()
+    bad_line = max(i for i, line in enumerate(lines) if line.strip().startswith("xmax"))
+    lines[bad_line] = "xmax = zz"
+    (root / "broken.TextGrid").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad = dict(data["pairs"][0], name="bad", textgrid_nat="broken.TextGrid")
+    data["pairs"].append(bad)
+    manifest_path.write_text(json.dumps(data), encoding="utf-8")
+    return manifest_path, bad_line + 1
+
 
 class TestAnnotate:
     def test_outputs_exist(self, annotated):
@@ -128,6 +153,32 @@ class TestAnnotate:
         assert result.exit_code == 3
         assert (tmp_path / "out" / "pair00.ssml").exists()
         assert "bad: FAILED" in result.output
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_grid_isolated_in_any_mode(self, runner, tmp_path, jobs):
+        manifest, line = two_pairs_one_bad_grid(tmp_path)
+        result = runner.invoke(main, ["annotate", str(manifest), "--jobs", jobs])
+        assert result.exit_code == 3
+        assert f"bad: FAILED (line {line}: " in result.output
+        assert "pair00: 5 syntagms" in result.output
+        for suffix in (".deltas.jsonl", ".ssml", ".log"):
+            assert (tmp_path / "out" / f"pair00{suffix}").exists()
+        assert not (tmp_path / "out" / "bad.ssml").exists()
+
+    def test_unreadable_lexicon_fails_once_before_any_pair(self, runner, tmp_path):
+        manifest_path = build_e2e_corpus(tmp_path, n_syntagms=2)
+        data = json.loads(manifest_path.read_text())
+        data["pairs"].append(dict(data["pairs"][0], name="pair01"))
+        manifest_path.write_text(json.dumps(data), encoding="utf-8")
+        missing = tmp_path / "no-such-lexicon.txt"
+        result = runner.invoke(
+            main, ["annotate", str(manifest_path), "--jobs", "1", "--lexicon", str(missing)]
+        )
+        assert result.exit_code == 2
+        assert result.output.count("error: ") == 1
+        assert "no-such-lexicon.txt" in result.output
+        assert "FAILED" not in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_empty_manifest_exit_5(self, runner, tmp_path):
         p = tmp_path / "empty.json"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from prosodika.audio import SegmentBounds
@@ -44,6 +45,58 @@ class TestAssignSegments:
         segs = [SegmentBounds(0, 100), SegmentBounds(5000, 6000)]
         syn = [syntagm([(4000, 4500)])]  # overlaps nothing, nearer to seg 1
         assert assign_segments(syn, segs) == [1]
+
+
+def assign_segments_by_scan(syntagms, segments):
+    """Reference: every syntagm against every segment."""
+    if not segments:
+        return [0] * len(syntagms)
+    out = []
+    for s in syntagms:
+        best, best_overlap = None, 0
+        for k, seg in enumerate(segments):
+            overlap = min(s.end_ms, seg.end_ms) - max(s.start_ms, seg.start_ms)
+            if overlap > best_overlap:
+                best, best_overlap = k, overlap
+        if best is None:
+            mid = (s.start_ms + s.end_ms) / 2.0
+            best = min(
+                range(len(segments)),
+                key=lambda k: abs((segments[k].start_ms + segments[k].end_ms) / 2.0 - mid),
+            )
+        out.append(best)
+    return out
+
+
+class TestAssignSegmentsMatchesScan:
+    def test_random_sorted_layouts(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            # coarse 10 ms grid: touching segments, equal overlaps and
+            # midpoint ties all come up often
+            segs, t = [], int(rng.integers(0, 3)) * 10
+            for _ in range(int(rng.integers(0, 8))):
+                length = int(rng.integers(1, 6)) * 10
+                segs.append(SegmentBounds(t, t + length))
+                t += length + int(rng.integers(0, 4)) * 10
+            syn = []
+            for _ in range(int(rng.integers(1, 10))):
+                a = int(rng.integers(0, 30)) * 10
+                syn.append(syntagm([(a, a + int(rng.integers(1, 12)) * 10)]))
+            assert assign_segments(syn, segs) == assign_segments_by_scan(syn, segs)
+
+    def test_equal_overlap_takes_first(self):
+        segs = [SegmentBounds(0, 100), SegmentBounds(100, 200)]
+        assert assign_segments([syntagm([(50, 150)])], segs) == [0]
+
+    def test_midpoint_tie_takes_first(self):
+        segs = [SegmentBounds(0, 100), SegmentBounds(300, 400)]
+        assert assign_segments([syntagm([(150, 250)])], segs) == [0]
+
+    def test_rejects_overlapping_segments(self):
+        segs = [SegmentBounds(0, 100), SegmentBounds(50, 200)]
+        with pytest.raises(ValueError):
+            assign_segments([syntagm([(0, 10)])], segs)
 
 
 class TestManifest:

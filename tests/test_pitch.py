@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from prosodika.audio import AudioBuffer, SegmentBounds
-from prosodika.pitch import F0Frame, F0Track, estimate_f0_track, median_f0
+from prosodika.pitch import F0Track, estimate_f0_track, median_f0
 
-from conftest import tone
+from conftest import NAT_DBFS, NAT_F0, NAT_PAUSE_MS, NAT_WORD_S, build_voice_track, tone
 
 
 def track_of(buf):
     return estimate_f0_track(buf)
+
+
+def voiced_f0(track):
+    f0 = track.frames["f0_hz"]
+    return f0[~np.isnan(f0)]
 
 
 class TestEstimateF0:
@@ -16,28 +21,27 @@ class TestEstimateF0:
     def test_sine_median_within_one_percent(self, freq):
         buf = AudioBuffer(tone(freq, 1.0, 16000, amplitude=0.8), 16000)
         track = track_of(buf)
-        values = track.voiced_values()
+        values = voiced_f0(track)
         assert len(values) >= 0.9 * len(track.frames)
         assert abs(np.median(values) - freq) <= 0.01 * freq
 
     def test_220_sine_within_2hz(self):
         buf = AudioBuffer(tone(220, 1.0, 16000, amplitude=0.8), 16000)
         track = track_of(buf)
-        voiced = [f for f in track.frames if f.voiced]
+        voiced = voiced_f0(track)
         assert len(voiced) >= 0.9 * len(track.frames)
-        assert all(abs(f.f0_hz - 220) <= 2.0 for f in voiced)
+        assert np.all(np.abs(voiced - 220) <= 2.0)
 
     def test_white_noise_mostly_unvoiced(self):
         rng = np.random.default_rng(3)
         buf = AudioBuffer(rng.normal(0, 0.3, 16000).clip(-1, 1), 16000)
         track = track_of(buf)
-        voiced = sum(1 for f in track.frames if f.voiced)
-        assert voiced <= 0.2 * len(track.frames)
+        assert len(voiced_f0(track)) <= 0.2 * len(track.frames)
 
     def test_silence_all_unvoiced(self):
         buf = AudioBuffer(np.zeros(16000), 16000)
         track = track_of(buf)
-        assert all(not f.voiced for f in track.frames)
+        assert np.all(np.isnan(track.frames["f0_hz"]))
 
     def test_frame_too_short_for_fmin(self):
         buf = AudioBuffer(np.zeros(16000), 16000)
@@ -49,21 +53,134 @@ class TestEstimateF0:
         track = estimate_f0_track(buf)
         # (16000 - 640) / 160 + 1 full frames
         assert len(track.frames) == 97
-        hops = np.diff([f.time_ms for f in track.frames])
+        hops = np.diff(track.frames["time_ms"])
         assert np.allclose(hops, 10.0)
+
+    def test_shorter_than_one_frame_gives_empty_track(self):
+        track = estimate_f0_track(AudioBuffer(np.zeros(100), 16000))
+        assert len(track.frames) == 0
+        assert median_f0(track, SegmentBounds(0, 1000)) is None
+
+    def test_no_lag_in_range_gives_all_unvoiced(self):
+        # at 60 Hz a 40 ms frame has 2 samples: no lag reaches sr // fmax or 2
+        buf = AudioBuffer(tone(5, 1.0, 60, amplitude=0.8), 60)
+        track = estimate_f0_track(buf)
+        assert len(track.frames) == 59
+        assert np.all(np.isnan(track.frames["f0_hz"]))
 
     def test_f0_within_configured_range(self):
         buf = AudioBuffer(tone(400, 1.0, 16000, amplitude=0.8), 16000)
         track = estimate_f0_track(buf, fmin=60, fmax=400)
-        assert all(60 <= f.f0_hz <= 400 for f in track.frames if f.voiced)
+        assert np.all((voiced_f0(track) >= 60) & (voiced_f0(track) <= 400))
+
+
+# Reference tracker: the per-frame scalar dip search over a CMNDF computed
+# with a 2 x frame_len FFT, one frame at a time.
+def _reference_cmndf(frames, w, lag_max):
+    n, frame_len = frames.shape
+    nfft = 1
+    while nfft < frame_len * 2:
+        nfft *= 2
+    spec_full = np.fft.rfft(frames, nfft, axis=1)
+    spec_win = np.fft.rfft(frames[:, :w], nfft, axis=1)
+    cross = np.fft.irfft(spec_full * np.conj(spec_win), nfft, axis=1)[:, : lag_max + 1]
+    sq = np.concatenate([np.zeros((n, 1)), np.cumsum(frames * frames, axis=1)], axis=1)
+    e0 = sq[:, w] - sq[:, 0]
+    lags = np.arange(lag_max + 1)
+    e_tau = sq[:, lags + w] - sq[:, lags]
+    diff = np.maximum(e0[:, None] + e_tau - 2.0 * cross, 0.0)
+    running = np.cumsum(diff[:, 1:], axis=1)
+    tau = np.arange(1, lag_max + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.where(running > 0.0, diff[:, 1:] * tau[None, :] / running, 1.0)
+    return np.concatenate([np.ones((n, 1)), norm], axis=1)
+
+
+def _reference_pick(row, lag_min, lag_max, sample_rate, fmin, fmax, threshold):
+    j = lag_min
+    dip = None
+    while j <= lag_max:
+        if row[j] < threshold:
+            while j + 1 <= lag_max and row[j + 1] < row[j]:
+                j += 1
+            dip = j
+            break
+        j += 1
+    if dip is None:
+        return None
+    if 0 < dip < lag_max:
+        a, b, c = row[dip - 1], row[dip], row[dip + 1]
+        denom = a - 2.0 * b + c
+        delta = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
+        delta = float(np.clip(delta, -0.5, 0.5))
+    else:
+        delta = 0.0
+    f0 = sample_rate / (dip + delta)
+    return float(min(max(f0, fmin), fmax))
+
+
+def reference_track(buf, frame_ms=40, hop_ms=10, fmin=60, fmax=400, threshold=0.15):
+    """(times_ms, f0 or None) per frame."""
+    sr = buf.sample_rate
+    frame_len = int(round(sr * frame_ms / 1000.0))
+    hop = int(round(sr * hop_ms / 1000.0))
+    w = frame_len // 2
+    lag_max = min(w, int(np.ceil(sr / fmin)))
+    lag_min = max(2, int(sr // fmax))
+    n_frames = max(0, (len(buf.samples) - frame_len) // hop + 1)
+    times, f0s = [], []
+    for i in range(n_frames):
+        frame = buf.samples[i * hop : i * hop + frame_len][None, :]
+        row = _reference_cmndf(frame, w, lag_max)[0]
+        times.append((i * hop + frame_len / 2.0) * 1000.0 / sr)
+        f0s.append(_reference_pick(row, lag_min, lag_max, sr, fmin, fmax, threshold))
+    return times, f0s
+
+
+def _chirp(noise, seed):
+    sr = 16000
+    t = np.arange(3 * sr) / sr
+    rng = np.random.default_rng(seed)
+    sig = 0.6 * np.sin(2 * np.pi * (80 * t + 50 * t * t)) + rng.normal(0, noise, len(t))
+    return sig.clip(-1, 1)
+
+
+SIGNALS = {
+    "chirp": lambda: _chirp(0.05, 1),
+    "chirp-half-voiced": lambda: _chirp(0.18, 2),
+    "white-noise": lambda: np.random.default_rng(3).normal(0, 0.3, 16000).clip(-1, 1),
+    "silence": lambda: np.zeros(16000),
+    "sine-80": lambda: tone(80, 1.0, 16000, amplitude=0.8),
+    "sine-220": lambda: tone(220, 1.0, 16000, amplitude=0.8),
+    "sine-400": lambda: tone(400, 1.0, 16000, amplitude=0.8),
+    "corpus-voice": lambda: build_voice_track(2, NAT_F0, NAT_DBFS, NAT_WORD_S, NAT_PAUSE_MS)[0],
+}
+
+
+class TestMatchesScalarReference:
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_same_frames_voicing_and_f0(self, name):
+        buf = AudioBuffer(SIGNALS[name](), 16000)
+        times, ref = reference_track(buf)
+        track = estimate_f0_track(buf)
+        assert len(track.frames) == len(times)
+        assert np.array_equal(track.frames["time_ms"], np.array(times))
+        ref_voiced = np.array([f is not None for f in ref])
+        f0 = track.frames["f0_hz"]
+        assert np.array_equal(~np.isnan(f0), ref_voiced)
+        ref_f0 = np.array([f for f in ref if f is not None])
+        assert np.all(np.abs(f0[ref_voiced] - ref_f0) <= 1e-9)
+
+    def test_mixed_voicing_is_exercised(self):
+        _, ref = reference_track(AudioBuffer(SIGNALS["chirp-half-voiced"](), 16000))
+        voiced = sum(f is not None for f in ref)
+        assert 0.1 * len(ref) < voiced < 0.9 * len(ref)
 
 
 class TestMedianF0:
     def mk_track(self, values):
-        frames = tuple(
-            F0Frame(10.0 * i, v, v is not None) for i, v in enumerate(values)
-        )
-        return F0Track(frames)
+        f0 = [np.nan if v is None else v for v in values]
+        return F0Track.from_arrays(10.0 * np.arange(len(values)), f0)
 
     def test_simple_median(self):
         track = self.mk_track([200.0, 210.0, 220.0])
@@ -83,6 +200,17 @@ class TestMedianF0:
         assert median_f0(track, SegmentBounds(0, 15)) == 100.0
         assert median_f0(track, SegmentBounds(20, 40)) == 300.0
 
+    def test_frames_on_bounds_match_brute_force(self):
+        rng = np.random.default_rng(7)
+        values = [None if rng.random() < 0.3 else float(f) for f in rng.uniform(80, 300, 60)]
+        track = self.mk_track(values)
+        times, f0 = track.frames["time_ms"], track.frames["f0_hz"]
+        # every bound sits exactly on a frame time: start is kept, end is not
+        for start, end in [(0, 10), (10, 20), (0, 590), (200, 300), (250, 600), (590, 600)]:
+            mask = (times >= start) & (times < end) & ~np.isnan(f0)
+            expected = float(np.median(f0[mask])) if mask.any() else None
+            assert median_f0(track, SegmentBounds(start, end)) == expected
+
     def test_order_invariant(self):
         a = self.mk_track([210.0, 180.0, 240.0, 200.0])
         b = self.mk_track([240.0, 210.0, 200.0, 180.0])
@@ -90,7 +218,12 @@ class TestMedianF0:
         assert median_f0(a, bounds) == median_f0(b, bounds)
 
     def test_frame_invariant(self):
+        track = self.mk_track([200.0, None])
+        assert len(track.frames) == 2
+        assert np.isnan(track.frames["f0_hz"][1])
         with pytest.raises(ValueError):
-            F0Frame(0.0, None, True)
+            track.frames["f0_hz"][0] = 1.0  # read-only
         with pytest.raises(ValueError):
-            F0Frame(0.0, 100.0, False)
+            F0Track.from_arrays([0.0, 10.0], [100.0, 100.0, 100.0])
+        with pytest.raises(ValueError):
+            F0Track.from_arrays([10.0, 0.0], [100.0, 100.0])  # times must ascend

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -104,6 +105,13 @@ class TestParse:
             parse('<prosody pitch="high">mot</prosody>')
         assert "non-numeric pitch" in str(err.value)
         assert err.value.offset == 0
+
+    def test_error_survives_pickling(self):
+        with pytest.raises(SsmlParseError) as err:
+            parse('mot <prosody pitch="high">mot</prosody>')
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (copy.offset, str(copy)) == (err.value.offset, str(err.value))
+        assert str(copy).startswith("offset 4: ")
 
     def test_missing_percent_suffix(self):
         with pytest.raises(SsmlParseError) as err:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from prosodika.textgrid import TextGridParseError, parse_textgrid, read_textgrid
@@ -80,6 +82,12 @@ class TestErrors:
         # offending interval starts at a concrete line carried by the error
         assert err.value.line > 0
         assert "precedes" in str(err.value)
+
+    def test_error_survives_pickling(self):
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(long_textgrid([(0.0, 1.0, "a"), (1.0, 0.5, "b")]))
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (copy.line, str(copy)) == (err.value.line, str(err.value))
 
     def test_malformed_header(self):
         with pytest.raises(TextGridParseError):
