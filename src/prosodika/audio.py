@@ -37,7 +37,7 @@ class UnsupportedFormatError(AudioError):
 
 
 class UnsupportedRateError(AudioError):
-    """Source sample rate below the supported minimum."""
+    """Source sample rate zero or below the supported minimum."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,27 +84,28 @@ class SegmentBounds:
         return self.end_ms - self.start_ms
 
 
-def _decode_pcm(raw: bytes, bits: int, audio_format: int) -> np.ndarray:
+def _decode_pcm(path: Path, raw: bytes, bits: int, audio_format: int) -> np.ndarray:
+    if audio_format not in (1, 3):
+        raise UnsupportedFormatError(f"{path}: WAV audio format tag {audio_format} not supported")
+    if audio_format == 3 and bits != 32:
+        raise UnsupportedFormatError(f"{path}: {bits}-bit float WAV not supported")
+    if bits not in (8, 16, 24, 32):
+        raise UnsupportedFormatError(f"{path}: {bits}-bit integer WAV not supported")
+    raw = raw[: len(raw) - len(raw) % (bits // 8)]  # drop a partial last sample
     if audio_format == 3:  # IEEE float
-        if bits != 32:
-            raise UnsupportedFormatError(f"{bits}-bit float WAV not supported")
         data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             # one NaN would spread through peak normalization to every sample
-            raise UnsupportedFormatError(f"non-finite float sample at index {bad[0]}")
+            raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
         return np.clip(data, -1.0, 1.0)
-    if audio_format != 1:
-        raise UnsupportedFormatError(f"WAV audio format tag {audio_format} not supported")
     if bits == 8:
         data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
         return (data - 128.0) / 128.0
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if bits == 24:
-        b = np.frombuffer(raw, dtype=np.uint8)
-        n = len(b) // 3
-        b = b[: n * 3].reshape(n, 3)
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
         vals = (
             b[:, 0].astype(np.int32)
             | (b[:, 1].astype(np.int32) << 8)
@@ -112,9 +113,7 @@ def _decode_pcm(raw: bytes, bits: int, audio_format: int) -> np.ndarray:
         )
         vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
         return vals.astype(np.float64) / float(1 << 23)
-    if bits == 32:
-        return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
-    raise UnsupportedFormatError(f"{bits}-bit integer WAV not supported")
+    return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -122,7 +121,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     Accepts 1- or 2-channel files with 8/16/24/32-bit integer or 32-bit
     float samples. Stereo is downmixed by averaging the channels; samples
-    are scaled to [-1, +1].
+    are scaled to [-1, +1]. A partial last sample or frame is dropped. Every
+    error is an AudioError that names the file.
     """
     path = Path(path)
     try:
@@ -154,14 +154,15 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: extensible WAV not supported")
     if n_channels not in (1, 2):
         raise UnsupportedFormatError(f"{path}: {n_channels} channels not supported")
+    if sample_rate == 0:
+        raise UnsupportedRateError(f"{path}: sample rate 0 Hz")
 
-    try:
-        flat = _decode_pcm(data, bits, audio_format)
-    except UnsupportedFormatError as exc:
-        raise UnsupportedFormatError(f"{path}: {exc}") from None
+    flat = _decode_pcm(path, data, bits, audio_format)
     if n_channels == 2:
         n = len(flat) // 2
         flat = flat[: n * 2].reshape(n, 2).mean(axis=1)
+    if not len(flat):
+        raise UnsupportedFormatError(f"{path}: data chunk holds no whole sample")
     return AudioBuffer(flat, sample_rate)
 
 

@@ -3,18 +3,22 @@
 Exit codes are a stable contract for CI harnesses:
   0 success, 2 I/O error, 3 parse/format error, 4 pairing error,
   5 empty input.
+The command group's ``invoke`` maps the documented input errors to these
+codes; any other exception is a bug and keeps its traceback.
 
 Configuration is a key = value text file mirroring PipelineConfig field
 names; --config (or the PROSODIKA_CONFIG environment variable) points at it,
-manifest "config" entries override it, and command-line flags win over both.
-The effective config is echoed into every run log.
+and manifest "config" entries override it. The effective config is echoed
+into every run log.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -26,15 +30,30 @@ from .prosody import (
     FLAG_INJECTED_BREAK,
     PipelineConfig,
     ProsodyDelta,
+    json_number,
     read_delta_records,
 )
 from .syntagms import FunctionWordLexicon
+from .textgrid import TextGridParseError
 
 EXIT_OK = 0
+EXIT_BUG = 1  # an exception outside INPUT_ERRORS, as an uncaught one exits
 EXIT_IO = 2
 EXIT_FORMAT = 3
 EXIT_PAIRING = 4
 EXIT_EMPTY = 5
+
+# everything missing or malformed input may raise; any other exception is a bug
+INPUT_ERRORS = (OSError, ValueError, AudioError, TextGridParseError, ssml.SsmlParseError)
+
+
+def _classify(exc: BaseException) -> int:
+    """Exit code of an error: the only place that picks 2, 3 or 4."""
+    if isinstance(exc, (ProsodyPairingError, metrics.PairingError)):
+        return EXIT_PAIRING
+    if isinstance(exc, (OSError, UnreadableFileError)):
+        return EXIT_IO
+    return EXIT_FORMAT if isinstance(exc, INPUT_ERRORS) else EXIT_BUG
 
 
 def _fail(code: int, message: str):
@@ -42,34 +61,69 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def load_config_file(path: str | Path) -> dict:
+def _read(path: str, parse):
+    """``parse`` of the UTF-8 text of ``path``. An OSError passes through; a
+    decoding or parse error becomes a ValueError that starts with the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, ssml.SsmlParseError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_config(text: str) -> dict:
     """Parse the key = value config format (# starts a comment)."""
     values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFileError(str(exc)) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
+            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
+    PipelineConfig.from_mapping(values)  # a bad key or value is reported against this file
     return values
 
 
 def build_config(config_path: str | None, overrides: dict | None = None) -> PipelineConfig:
-    mapping: dict = {}
-    if config_path:
-        mapping.update(load_config_file(config_path))
-    if overrides:
-        mapping.update(overrides)
-    return PipelineConfig.from_mapping(mapping)
+    mapping = _read(config_path, _parse_config) if config_path else {}
+    return PipelineConfig.from_mapping({**mapping, **(overrides or {})})
 
 
-@click.group()
+def _parse_breaks(text: str) -> metrics.BreakPrediction:
+    data = json.loads(text)
+    if not isinstance(data, dict) or not {"word_count", "positions"} <= data.keys():
+        raise ValueError("expected an object with 'word_count' and 'positions'")
+    positions, probs = data["positions"], data.get("probabilities")
+    if not isinstance(positions, list) or not isinstance(probs, (list, type(None))):
+        raise ValueError("'positions' and 'probabilities' must be lists")
+    return metrics.BreakPrediction(
+        word_count=json_number(data["word_count"], "word_count", integer=True),
+        positions=frozenset(json_number(i, "positions", integer=True) for i in positions),
+        probabilities=None if probs is None else tuple(
+            float(json_number(p, "probabilities")) for p in probs),
+    )
+
+
+def _parse_timings(text: str) -> list[float]:
+    starts = json.loads(text)
+    if not isinstance(starts, list) or not starts:
+        raise ValueError("expected a non-empty list of word start times in ms")
+    return [float(json_number(v, "word start time")) for v in starts]
+
+
+class _Cli(click.Group):
+    """Command group whose ``invoke`` turns a documented input error into a
+    single ``error: ...`` line and its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            _fail(_classify(exc), str(exc))
+
+
+@click.group(cls=_Cli)
 def main():
     """Prosody annotation and SSML evaluation toolkit."""
 
@@ -84,13 +138,7 @@ def main():
               help="Silences shorter than this merge into speech.")
 def segment(audio, output, threshold_dbfs, min_gap_ms):
     """Detect speech segments in a WAV file."""
-    try:
-        buf = pipeline.prepare_audio(audio)
-    except UnreadableFileError as exc:
-        _fail(EXIT_IO, str(exc))
-    except AudioError as exc:
-        _fail(EXIT_FORMAT, str(exc))
-    bounds = detect_speech_segments(buf, threshold_dbfs, min_gap_ms)
+    bounds = detect_speech_segments(pipeline.prepare_audio(audio), threshold_dbfs, min_gap_ms)
     lines = "".join(f"{b.start_ms}\t{b.end_ms}\n" for b in bounds)
     if output:
         pipeline.write_atomic(Path(output), lines)
@@ -99,9 +147,16 @@ def segment(audio, output, threshold_dbfs, min_gap_ms):
 
 
 def _annotate_one(args):
+    """Annotate and write one pair: its PairResult, or the exit code and message
+    of its failure, so no exception crosses the process pool (a bug's message
+    is its traceback)."""
     pair, cfg, lexicon, emit_options = args
-    result = pipeline.annotate_pair(pair, cfg, lexicon, emit_options)
-    pipeline.write_pair_result(result, pair.output_dir)
+    try:
+        result = pipeline.annotate_pair(pair, cfg, lexicon, emit_options)
+        pipeline.write_pair_result(result, pair.output_dir)
+    except Exception as exc:  # noqa: BLE001 - one pair's failure never fails the others
+        code = _classify(exc)
+        return code, traceback.format_exc().rstrip() if code == EXIT_BUG else str(exc)
     return result
 
 
@@ -123,17 +178,12 @@ def _annotate_one(args):
 def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
              suppress_neutral, voice, jobs):
     """Annotate every pair in a job manifest: deltas, SSML, and a run log."""
-    try:
-        pairs, manifest_overrides = pipeline.load_manifest(manifest)
-    except pipeline.ManifestError as exc:
-        _fail(EXIT_FORMAT, str(exc))
+    pairs, manifest_overrides = pipeline.load_manifest(manifest)
     if not pairs:
         _fail(EXIT_EMPTY, "manifest contains no pairs")
-    try:
-        cfg = build_config(config, manifest_overrides)
-        words = FunctionWordLexicon.from_file(lexicon) if lexicon else FunctionWordLexicon.default()
-    except (UnreadableFileError, OSError, ValueError) as exc:
-        _fail(_classify(exc), str(exc))
+    cfg = build_config(config, manifest_overrides)
+    words = (FunctionWordLexicon(_read(lexicon, str.splitlines)) if lexicon
+             else FunctionWordLexicon.default())
     emit_options = ssml.EmitOptions(
         azure_silence_wrap=azure_silence_wrap,
         full_document=full_document,
@@ -142,59 +192,29 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         config=cfg,
     )
     jobs = jobs or None
-    worst = EXIT_OK
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
-    results: list = []
     if jobs == 1 or len(pairs) == 1:
-        for task in tasks:
-            try:
-                results.append(_annotate_one(task))
-            except Exception as exc:  # noqa: BLE001 - per-pair isolation
-                results.append(exc)
+        outcomes = [_annotate_one(task) for task in tasks]
     else:
+        outcomes = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_annotate_one, t) for t in tasks]
-            for fut in futures:
+            for fut in [pool.submit(_annotate_one, t) for t in tasks]:
                 try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - per-pair isolation
-                    results.append(exc)
-    for pair, outcome in zip(pairs, results):
-        if isinstance(outcome, Exception):
-            code = _classify(outcome)
+                    outcomes.append(fut.result())
+                except BrokenProcessPool as exc:  # a worker died, e.g. killed
+                    outcomes.append((_classify(exc), str(exc)))
+    worst = EXIT_OK
+    for pair, outcome in zip(pairs, outcomes):
+        if isinstance(outcome, tuple):
+            code, message = outcome
             worst = max(worst, code)
-            click.echo(f"{pair.name}: FAILED ({outcome})", err=True)
+            click.echo(f"{pair.name}: FAILED ({message})", err=True)
         else:
             click.echo(
                 f"{pair.name}: {outcome.n_syntagms} syntagms in "
                 f"{outcome.n_segments} segments ({outcome.n_flagged} flagged)"
             )
     sys.exit(worst)
-
-
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, (ProsodyPairingError, metrics.PairingError)):
-        return EXIT_PAIRING
-    if isinstance(exc, (UnreadableFileError, OSError)):
-        return EXIT_IO
-    return EXIT_FORMAT
-
-
-def _read_text(path: str, code_on_missing: int = EXIT_IO) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(code_on_missing, str(exc))
-
-
-def _load_breaks(path: str) -> metrics.BreakPrediction:
-    data = json.loads(_read_text(path))
-    probs = data.get("probabilities")
-    return metrics.BreakPrediction(
-        word_count=int(data["word_count"]),
-        positions=frozenset(int(i) for i in data["positions"]),
-        probabilities=tuple(float(p) for p in probs) if probs is not None else None,
-    )
 
 
 @main.command()
@@ -219,33 +239,19 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
           gold_timings, tau_ms, window_s, macro, output):
     """Score predicted SSML against gold SSML (MAE/RMSE, census, break F1,
     optional ARR over word timings)."""
-    try:
-        pred = ssml.parse_corpus(_read_text(pred_ssml))
-        gold = ssml.parse_corpus(_read_text(gold_ssml))
-    except ssml.SsmlParseError as exc:
-        _fail(EXIT_FORMAT, str(exc))
-    try:
-        errors = metrics.attribute_errors(pred, gold, macro=macro)
-    except metrics.PairingError as exc:
-        _fail(EXIT_PAIRING, str(exc))
+    pred, gold = _read(pred_ssml, ssml.parse_corpus), _read(gold_ssml, ssml.parse_corpus)
+    errors = metrics.attribute_errors(pred, gold, macro=macro)
 
     precision = recall = f1 = ppl = None
     if pred_breaks and gold_breaks:
-        bp, bg = _load_breaks(pred_breaks), _load_breaks(gold_breaks)
-        try:
-            precision, recall, f1 = metrics.break_f1(bp, bg)
-        except metrics.PairingError as exc:
-            _fail(EXIT_PAIRING, str(exc))
+        bp, bg = _read(pred_breaks, _parse_breaks), _read(gold_breaks, _parse_breaks)
+        precision, recall, f1 = metrics.break_f1(bp, bg)
         if bp.probabilities is not None:
             ppl = metrics.perplexity(metrics.true_label_probabilities(bp, bg))
     arr_score = None
     if pred_timings and gold_timings:
-        pred_starts = [float(v) for v in json.loads(_read_text(pred_timings))]
-        gold_starts = [float(v) for v in json.loads(_read_text(gold_timings))]
-        try:
-            arr_score = metrics.arr(pred_starts, gold_starts, tau_ms, window_s)
-        except metrics.PairingError as exc:
-            _fail(EXIT_PAIRING, str(exc))
+        arr_score = metrics.arr(_read(pred_timings, _parse_timings),
+                                _read(gold_timings, _parse_timings), tau_ms, window_s)
 
     report = metrics.MetricsReport(
         attribute_errors=errors,
@@ -276,12 +282,7 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
                    "distribution.")
 def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
     """Corpus statistics over annotated delta records."""
-    records: list[dict] = []
-    for path in delta_files:
-        try:
-            records.extend(read_delta_records(_read_text(path)))
-        except ValueError as exc:
-            _fail(EXIT_FORMAT, f"{path}: {exc}")
+    records = [rec for path in delta_files for rec in _read(path, read_delta_records)]
     if not records:
         _fail(EXIT_EMPTY, "no delta records given")
     deltas = [
@@ -289,7 +290,7 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
             pitch_pct=float(r["pitch_pct"]),
             rate_pct=float(r["rate_pct"]),
             volume_pct=float(r["volume_pct"]),
-            break_ms=int(r["break_ms"]),
+            break_ms=r["break_ms"],
             flags=tuple(r.get("flags", ())),
         )
         for r in records
@@ -301,14 +302,12 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
             summaries["break_ms"] = metrics.summarize([float(b) for b in kept])
         else:
             del summaries["break_ms"]
-    speakers = sorted({r["pair"] for r in records if "pair" in r})
-    totals = {
-        "speakers": len(speakers),
-        "total_words": sum(int(r.get("word_count", len(str(r.get("text", "")).split())))
-                           for r in records),
-        "total_characters": sum(len(str(r.get("text", ""))) for r in records),
+    totals = {  # read_delta_records has checked the type of every key used here
+        "speakers": len({r["pair"] for r in records if "pair" in r}),
+        "total_words": sum(r.get("word_count", len(r.get("text", "").split())) for r in records),
+        "total_characters": sum(len(r.get("text", "")) for r in records),
         "prosody_tags": len(records),
-        "break_tags": sum(1 for r in records if int(r["break_ms"]) > 0),
+        "break_tags": sum(1 for r in records if r["break_ms"] > 0),
     }
     click.echo("corpus totals:")
     for key, value in totals.items():
@@ -335,13 +334,7 @@ def census(ssml_files):
     """Tag census (prosody/break counts per segment) over SSML corpora."""
     if not ssml_files:
         _fail(EXIT_EMPTY, "no SSML files given")
-    docs = []
-    for path in ssml_files:
-        try:
-            docs.append(ssml.parse_corpus(_read_text(path)))
-        except ssml.SsmlParseError as exc:
-            _fail(EXIT_FORMAT, f"{path}: {exc}")
-    result = metrics.tag_census(docs)
+    result = metrics.tag_census([_read(path, ssml.parse_corpus) for path in ssml_files])
     click.echo(f"segments: {result.segments}")
     click.echo(f"prosody tags: {result.prosody_total} (mean {result.prosody_mean:.2f}/segment)")
     click.echo(f"break tags: {result.break_total} (mean {result.break_mean:.2f}/segment)")
@@ -357,26 +350,23 @@ def validate_ssml(ssml_files, config):
     """Check SSML files against the subset invariants and clip ranges."""
     if not ssml_files:
         _fail(EXIT_EMPTY, "no SSML files given")
-    try:
-        cfg = build_config(config)
-    except (UnreadableFileError, ValueError) as exc:
-        _fail(EXIT_FORMAT, str(exc))
-    bad = False
+    cfg = build_config(config)
+    code = EXIT_OK
     for path in ssml_files:
         try:
-            doc = ssml.parse_corpus(_read_text(path))
-        except ssml.SsmlParseError as exc:
-            click.echo(f"{path}: parse error: {exc}", err=True)
-            bad = True
+            doc = _read(path, ssml.parse_corpus)
+        except ValueError as exc:  # reported per file; the other files are still checked
+            click.echo(f"error: {exc}", err=True)
+            code = max(code, _classify(exc))
             continue
         violations = ssml.validate(doc, cfg)
+        for v in violations:
+            click.echo(f"{path}: {v}", err=True)
         if violations:
-            bad = True
-            for v in violations:
-                click.echo(f"{path}: {v}", err=True)
+            code = max(code, EXIT_FORMAT)  # violations are a result, not an error
         else:
             click.echo(f"{path}: ok")
-    sys.exit(EXIT_FORMAT if bad else EXIT_OK)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

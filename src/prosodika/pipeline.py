@@ -70,40 +70,53 @@ class PairResult:
     log_lines: list[str]
 
 
+_PAIR_FILES = ("natural_wav", "synthetic_wav", "textgrid_nat", "textgrid_syn")
+_PAIR_KEY_TYPES = {"name": str, "output_dir": str, "words_tier": (str, type(None)),
+                   **dict.fromkeys(_PAIR_FILES, str)}
+
+
 def load_manifest(path: str | Path) -> tuple[list[PairSpec], dict]:
-    """Read the job manifest: pair file lists plus optional config overrides."""
+    """Read the job manifest: pair file lists plus optional config overrides.
+
+    An unreadable file raises OSError; malformed content raises ManifestError
+    naming the file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(data, dict) or "pairs" not in data:
-        raise ManifestError(f"{path}: manifest must be an object with a 'pairs' list")
-    base_out = data.get("output_dir")
+        return _parse_manifest(path.read_text(encoding="utf-8"), path.parent)
+    except ValueError as exc:  # bad UTF-8 and bad JSON too
+        raise ManifestError(f"{path}: {exc}") from None
+
+
+def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
+        raise ValueError("manifest must be an object with a 'pairs' list")
     overrides = data.get("config", {})
     if not isinstance(overrides, dict):
-        raise ManifestError(f"{path}: 'config' must be an object")
-    pairs = []
+        raise ValueError("'config' must be an object")
+    PipelineConfig.from_mapping(overrides)  # a bad key or value is reported against the manifest
+    pairs: list[PairSpec] = []
+    seen: dict[str, int] = {}
     for i, entry in enumerate(data["pairs"]):
-        required = ("natural_wav", "synthetic_wav", "textgrid_nat", "textgrid_syn")
-        missing = [k for k in required if k not in entry]
+        if not isinstance(entry, dict):
+            raise ValueError(f"pair {i} is not an object")
+        missing = [k for k in _PAIR_FILES if k not in entry]
         if missing:
-            raise ManifestError(f"{path}: pair {i} missing {missing}")
-        out_dir = entry.get("output_dir", base_out)
-        if out_dir is None:
-            raise ManifestError(f"{path}: pair {i} has no output_dir (and no default)")
-        root = path.parent
-        pairs.append(
-            PairSpec(
-                name=entry.get("name", f"pair{i:03d}"),
-                natural_wav=root / entry["natural_wav"],
-                synthetic_wav=root / entry["synthetic_wav"],
-                textgrid_nat=root / entry["textgrid_nat"],
-                textgrid_syn=root / entry["textgrid_syn"],
-                output_dir=root / out_dir,
-                words_tier=entry.get("words_tier"),
-            )
-        )
+            raise ValueError(f"pair {i} missing {missing}")
+        spec = {"name": f"pair{i:03d}", "output_dir": data.get("output_dir"),
+                "words_tier": None, **entry}
+        if spec["output_dir"] is None:
+            raise ValueError(f"pair {i} has no output_dir (and no default)")
+        wrong = [k for k, kind in _PAIR_KEY_TYPES.items() if not isinstance(spec[k], kind)]
+        if wrong:
+            raise ValueError(f"pair {i}: {wrong} must be strings")
+        name = spec["name"]
+        if name in seen:  # both pairs would write the same output files
+            raise ValueError(f"pairs {seen[name]} and {i} share the name {name!r}")
+        seen[name] = i
+        pairs.append(PairSpec(name=name, output_dir=root / spec["output_dir"],
+                              words_tier=spec["words_tier"],
+                              **{k: root / spec[k] for k in _PAIR_FILES}))
     return pairs, overrides
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields
 
 from .syntagms import Syntagm
 
@@ -75,11 +76,12 @@ class PipelineConfig:
         for key, value in mapping.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = int(value) if key == "baseline_window" else float(value)
+            try:
+                number = int(value) if key == "baseline_window" else float(value)
+                kwargs[key] = json_number(number, key)  # NaN would pass every range check
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{key!r} needs a finite number, got {value!r:.40}") from None
         return cls(**kwargs)
-
-    def replace(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -177,38 +179,23 @@ def rate_delta(word_count: int, d_nat_s: float, d_syn_s: float, cfg: PipelineCon
     return min(max(r, -cfg.rate_clip_pct), 0.5 * cfg.rate_clip_pct)
 
 
-def smooth_series(
-    values: list[float], cfg: PipelineConfig, *, clamp_raw_first: bool = False
-) -> list[float]:
+def smooth_series(values: list[float], cfg: PipelineConfig) -> list[float]:
     """Exponential smoothing with a per-step jump clamp.
 
     x~[0] = x[0]; x~[i] = alpha*x[i] + (1-alpha)*x~[i-1], then any step larger
     than ``max_jump_pct`` is clamped to the previous value +- the jump, and the
-    clamped value feeds the next step. ``clamp_raw_first`` instead clamps the
-    raw series before smoothing (ablation path).
+    clamped value feeds the next step.
     """
     if not values:
         raise ValueError("cannot smooth an empty series")
-    if clamp_raw_first:
-        values = _clamp_jumps(values, cfg.max_jump_pct)
     out = [float(values[0])]
     alpha, jump = cfg.smoothing_alpha, cfg.max_jump_pct
     for x in values[1:]:
         smoothed = alpha * x + (1.0 - alpha) * out[-1]
         step = smoothed - out[-1]
-        if not clamp_raw_first and abs(step) > jump:
+        if abs(step) > jump:
             smoothed = out[-1] + math.copysign(jump, step)
         out.append(smoothed)
-    return out
-
-
-def _clamp_jumps(values: list[float], jump: float) -> list[float]:
-    out = [float(values[0])]
-    for x in values[1:]:
-        step = x - out[-1]
-        if abs(step) > jump:
-            x = out[-1] + math.copysign(jump, step)
-        out.append(float(x))
     return out
 
 
@@ -312,17 +299,39 @@ def deltas_to_jsonl(records: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def json_number(value, key: str, integer: bool = False):
+    """``value`` if it is a JSON number that a float can hold (an integer if
+    ``integer``; bools are not numbers), else ValueError naming ``key``."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key!r} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r:.40}")
+    return value
+
+
 def read_delta_records(text: str) -> list[dict]:
+    """Parse the JSONL that deltas_to_jsonl writes, checking the type of each
+    key that stats reads. ValueError names the line and the key."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+            for key in ("pitch_pct", "rate_pct", "volume_pct", "break_ms"):
+                if key not in rec:
+                    raise ValueError(f"missing {key!r}")
+                json_number(rec[key], key, integer=key == "break_ms")
+            if "word_count" in rec:
+                json_number(rec["word_count"], "word_count", integer=True)
+            if not all(isinstance(rec.get(key, ""), str) for key in ("text", "pair")):
+                raise ValueError("'text' and 'pair' must be strings")
+            flags = rec.get("flags", [])
+            if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+                raise ValueError("'flags' must be a list of strings")
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: bad delta record: {exc}") from None
-        for key in ("pitch_pct", "rate_pct", "volume_pct", "break_ms"):
-            if key not in rec:
-                raise ValueError(f"line {lineno}: delta record missing {key!r}")
         records.append(rec)
     return records

@@ -17,6 +17,7 @@ for canonical (emitter-produced) inputs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from xml.parsers import expat
@@ -247,52 +248,43 @@ def _render_node(node: Node) -> str:
     raise TypeError(f"not an SSML node: {node!r}")
 
 
-_PCT_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)%$")
-_TIME_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)(ms|s)$")
-_BARE_MS_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)(ms|s)?$")
+_NUMBER = r"([+-]?\d+(?:\.\d+)?)"
+_PCT_RE = re.compile(rf"^{_NUMBER}(%)?$")
+_MS_RE = re.compile(rf"^{_NUMBER}(ms|s)?$")
 
 
-def _parse_pct(name: str, raw: str, offset: int) -> float:
+def _parse_pct(name: str, raw: str) -> float:
     m = _PCT_RE.match(raw.strip())
     if not m:
-        if re.match(r"^[+-]?\d+(\.\d+)?$", raw.strip()):
-            raise SsmlParseError(f"{name} value {raw!r} is missing the % suffix", offset)
-        raise SsmlParseError(f"non-numeric {name} value {raw!r}", offset)
+        raise ValueError(f"non-numeric {name} value {raw!r}")
+    if not m.group(2):
+        raise ValueError(f"{name} value {raw!r} is missing the % suffix")
     return float(m.group(1))
 
 
-def _parse_time_ms(raw: str, offset: int) -> int:
-    m = _TIME_RE.match(raw.strip())
+def _parse_ms(what: str, raw: str, unit_required: bool) -> int:
+    """Milliseconds from a number with an optional ms/s unit (ms when bare)."""
+    m = _MS_RE.match(raw.strip())
     if not m:
-        if re.match(r"^[+-]?\d+(\.\d+)?$", raw.strip()):
-            raise SsmlParseError(f"break time {raw!r} is missing its ms/s unit", offset)
-        raise SsmlParseError(f"non-numeric break time {raw!r}", offset)
-    value = float(m.group(1))
-    ms = value * 1000.0 if m.group(2) == "s" else value
+        raise ValueError(f"non-numeric {what} {raw!r}")
+    if unit_required and not m.group(2):
+        raise ValueError(f"{what} {raw!r} is missing its ms/s unit")
+    ms = float(m.group(1)) * (1000.0 if m.group(2) == "s" else 1.0)
     if ms < 0:
-        raise SsmlParseError(f"negative break time {raw!r}", offset)
-    return int(round(ms))
-
-
-def _parse_silence_ms(raw: str, offset: int) -> int:
-    m = _BARE_MS_RE.match(raw.strip())
-    if not m:
-        raise SsmlParseError(f"non-numeric silence value {raw!r}", offset)
-    value = float(m.group(1))
-    ms = value * 1000.0 if m.group(2) == "s" else value
-    if ms < 0:
-        raise SsmlParseError(f"negative silence value {raw!r}", offset)
+        raise ValueError(f"negative {what} {raw!r}")
+    if ms == math.inf:
+        raise ValueError(f"{what} {raw!r} is too large")
     return int(round(ms))
 
 
 class _Frame:
-    __slots__ = ("tag", "attrs", "children", "offset")
+    __slots__ = ("tag", "attrs", "children", "byte_idx")
 
-    def __init__(self, tag: str, attrs: list[str], offset: int):
+    def __init__(self, tag: str, attrs: list[str], byte_idx: int):
         self.tag = tag
         self.attrs = attrs  # expat ordered list [k1, v1, k2, v2, ...]
         self.children: list[Node] = []
-        self.offset = offset
+        self.byte_idx = byte_idx  # start of the element in _Parser.raw_bytes
 
 
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>\s*")
@@ -307,6 +299,7 @@ class _Parser:
         self.raw = f"{self.wrapper}{self.body}</__root__>"
         self.raw_bytes = self.raw.encode("utf-8")
         self.stack = [_Frame("__root__", [], 0)]
+        self.closing = self.stack[0]  # the element _end handles last
         self.text_buf: list[str] = []
         self.lang: str | None = None
         self.voice: str | None = None
@@ -316,9 +309,9 @@ class _Parser:
         self.parser.EndElementHandler = self._end
         self.parser.CharacterDataHandler = self._cdata
 
-    def _offset(self) -> int:
-        byte_idx = max(0, self.parser.CurrentByteIndex)
-        prefix = self.raw_bytes[:byte_idx].decode("utf-8", errors="ignore")
+    def _offset(self, byte_idx: int) -> int:
+        """Character offset of a byte index into raw_bytes (slow: errors only)."""
+        prefix = self.raw_bytes[: max(0, byte_idx)].decode("utf-8", errors="ignore")
         return max(0, len(prefix) - len(self.wrapper)) + self.base
 
     def _flush_text(self):
@@ -332,14 +325,14 @@ class _Parser:
 
     def _start(self, tag: str, attrs: list[str]):
         self._flush_text()
-        self.stack.append(_Frame(tag, attrs, self._offset()))
+        self.stack.append(_Frame(tag, attrs, self.parser.CurrentByteIndex))
 
     def _cdata(self, data: str):
         self.text_buf.append(data)
 
     def _end(self, tag: str):
         self._flush_text()
-        frame = self.stack.pop()
+        frame = self.closing = self.stack.pop()
         pairs = [(frame.attrs[i], frame.attrs[i + 1]) for i in range(0, len(frame.attrs), 2)]
         attrs = dict(pairs)
         node: Node | None = None
@@ -356,7 +349,7 @@ class _Parser:
             extras = []
             for key, value in pairs:
                 if key in ("pitch", "rate", "volume"):
-                    known[key] = _parse_pct(key, value, frame.offset)
+                    known[key] = _parse_pct(key, value)
                 else:
                     extras.append((key, value))
             node = ProsodyElement(
@@ -368,11 +361,11 @@ class _Parser:
             )
         elif tag == "break":
             if "time" not in attrs:
-                raise SsmlParseError("break element is missing its time attribute", frame.offset)
-            node = BreakElement(_parse_time_ms(attrs["time"], frame.offset))
+                raise ValueError("break element is missing its time attribute")
+            node = BreakElement(_parse_ms("break time", attrs["time"], unit_required=True))
         elif tag == "mstts:silence" and attrs.get("type") in (LEADING_EXACT, TRAILING_EXACT):
             node = SilenceDirective(
-                attrs["type"], _parse_silence_ms(attrs.get("value", "0"), frame.offset)
+                attrs["type"], _parse_ms("silence value", attrs.get("value", "0"), False)
             )
         else:
             node = OpaqueElement(tag, tuple(pairs), tuple(frame.children))
@@ -383,11 +376,10 @@ class _Parser:
         try:
             self.parser.Parse(self.raw_bytes, True)
         except expat.ExpatError as exc:
-            byte_idx = getattr(self.parser, "ErrorByteIndex", 0) or 0
-            prefix = self.raw_bytes[:byte_idx].decode("utf-8", errors="ignore")
-            offset = max(0, len(prefix) - len(self.wrapper)) + self.base
             raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
-                                 offset) from None
+                                 self._offset(self.parser.ErrorByteIndex)) from None
+        except ValueError as exc:  # a bad value in the element _end was closing
+            raise SsmlParseError(str(exc), self._offset(self.closing.byte_idx)) from None
         self._flush_text()
         return tuple(self.stack[0].children), self.lang, self.voice
 
@@ -441,20 +433,10 @@ def validate(doc: SsmlDocument, cfg: PipelineConfig = PipelineConfig()) -> list[
                 )
 
     def walk(nodes: tuple[Node, ...], path: str, inside_prosody: bool):
+        # text, break and silence nodes need no check: their constructors
+        # already reject blank text and negative times
         for i, node in enumerate(nodes):
-            if isinstance(node, TextNode):
-                if not node.content.strip():
-                    violations.append(Violation(f"{path}/text[{i}]", "empty-text",
-                                                "blank text node"))
-            elif isinstance(node, BreakElement):
-                if node.time_ms < 0:
-                    violations.append(Violation(f"{path}/break[{i}]", "negative-break",
-                                                f"time {node.time_ms} ms"))
-            elif isinstance(node, SilenceDirective):
-                if node.position not in (LEADING_EXACT, TRAILING_EXACT) or node.value_ms < 0:
-                    violations.append(Violation(f"{path}/silence[{i}]", "bad-silence-directive",
-                                                f"{node.position} value {node.value_ms}"))
-            elif isinstance(node, ProsodyElement):
+            if isinstance(node, ProsodyElement):
                 sub = f"{path}/prosody[{i}]"
                 if inside_prosody:
                     violations.append(Violation(sub, "nested-prosody",

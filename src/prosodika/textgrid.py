@@ -8,6 +8,7 @@ number of the offending input line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,10 @@ class _Cursor:
         lineno, raw = self.next_content_line(context)
         value = raw.split("=", 1)[1] if "=" in raw else raw
         try:
-            return float(value.strip())
+            number = float(value.strip())
+            if not math.isfinite(number):  # a count of inf or nan would not convert to int
+                raise ValueError(number)
+            return number
         except ValueError:
             raise TextGridParseError(f"expected a number for {context}, got {raw.strip()!r}",
                                      lineno) from None

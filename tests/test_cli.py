@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from prosodika import cli, pipeline
 from prosodika.cli import main
 from prosodika.prosody import ProsodyDelta
 from prosodika.ssml import EmitOptions, emit
@@ -16,6 +19,7 @@ from conftest import (
     build_e2e_corpus,
     tone,
     write_wav_int16,
+    write_wav_raw,
 )
 
 
@@ -431,3 +435,173 @@ class TestCensusAndValidate:
         assert runner.invoke(main, ["validate-ssml", str(p)]).exit_code == 3
         result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
         assert result.exit_code == 0, result.output
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+def _ssml_doc(root):
+    return _write(root / "doc.ssml", emit([("un deux", ProsodyDelta(1.0, 0.0, 0.0, 100))]) + "\n")
+
+
+GOOD_SIDE = {"breaks": '{"word_count": 2, "positions": [1]}', "timings": "[0.0, 300.0]"}
+NOT_UTF8 = b"<prosody>caf\xe9</prosody>\n"
+
+
+def _score_side(kind, pred, gold=None):
+    """score with a malformed predicted breaks or timings file."""
+    def build(root):
+        doc = _ssml_doc(root)
+        bad = _write(root / f"pred-{kind}.json", pred)
+        good = _write(root / f"gold-{kind}.json", GOOD_SIDE[kind] if gold is None else gold)
+        return ["score", doc, doc, f"--pred-{kind}", bad, f"--gold-{kind}", good], bad
+    return build
+
+
+def _stats(line):
+    def build(root):
+        good = json.dumps({"text": "a", "pitch_pct": 0, "rate_pct": 0, "volume_pct": 0,
+                           "break_ms": 250, "flags": []})
+        path = _write(root / "d.jsonl", f"{good}\n{line}\n")
+        return ["stats", path], path
+    return build
+
+
+def _not_utf8(command):
+    def build(root):
+        path = _write(root / "latin1.ssml", NOT_UTF8)
+        args = [path, path] if command == "score" else [path]
+        return [command, *args], path
+    return build
+
+
+def _validate_missing_config(root):
+    missing = str(root / "no-such.cfg")
+    return ["validate-ssml", _ssml_doc(root), "--config", missing], missing
+
+
+def _manifest(pairs, corpus=False):
+    def build(root):
+        entries = pairs
+        if corpus:
+            base = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())["pairs"][0]
+            entries = [dict(base, **p) for p in pairs]
+        path = _write(root / "job.json", json.dumps({"output_dir": "out", "pairs": entries}))
+        return ["annotate", path, "--jobs", "2"], path
+    return build
+
+
+def _manifest_config(config):
+    def build(root):
+        data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
+        path = _write(root / "job.json", json.dumps(dict(data, config=config)))
+        return ["annotate", path, "--jobs", "1"], path
+    return build
+
+
+def _missing_manifest(root):
+    missing = str(root / "no-such-job.json")
+    return ["annotate", missing], missing
+
+
+def _wav(data: bytes, rate=16000):
+    """segment on a 16-bit mono WAV holding ``data``."""
+    def build(root):
+        path = root / "x.wav"
+        write_wav_raw(path, data, rate, channels=1, bits=16)
+        return ["segment", str(path)], str(path)
+    return build
+
+
+# (id, function of a tmp dir giving (argv, the file the error must name), exit code)
+CONTRACT_ROWS = [
+    ("breaks-without-word-count", _score_side("breaks", '{"positions": [1]}'), 3),
+    ("breaks-invalid-json", _score_side("breaks", '{"word_count": 2,'), 3),
+    ("breaks-position-past-end", _score_side("breaks", '{"word_count": 2, "positions": [2]}'), 3),
+    ("breaks-probability-count", _score_side(
+        "breaks", '{"word_count": 2, "positions": [1], "probabilities": [0.5]}'), 3),
+    ("timings-object", _score_side("timings", '{"a": 1}'), 3),
+    ("timings-string-item", _score_side("timings", '[0.0, "x"]'), 3),
+    ("timings-empty-lists", _score_side("timings", "[]", gold="[]"), 3),
+    ("stats-pitch-string", _stats('{"pitch_pct": "x", "rate_pct": 0, "volume_pct": 0, '
+                                  '"break_ms": 0}'), 3),
+    ("stats-break-string", _stats('{"pitch_pct": 0, "rate_pct": 0, "volume_pct": 0, '
+                                  '"break_ms": "zz"}'), 3),
+    ("stats-bare-number", _stats("5"), 3),
+    ("census-not-utf8", _not_utf8("census"), 3),
+    ("score-not-utf8", _not_utf8("score"), 3),
+    ("validate-not-utf8", _not_utf8("validate-ssml"), 3),
+    ("validate-missing-config", _validate_missing_config, 2),
+    ("annotate-pair-not-object", _manifest([5]), 3),
+    ("annotate-duplicate-names", _manifest([{"name": "p"}, {"name": "p"}], corpus=True), 3),
+    ("annotate-missing-manifest", _missing_manifest, 2),
+    ("annotate-path-not-string", _manifest([{"natural_wav": 5}], corpus=True), 3),
+    ("annotate-config-value-null", _manifest_config({"volume_clip_pct": None}), 3),
+    ("annotate-config-value-nan", _manifest_config({"volume_clip_pct": "nan"}), 3),
+    ("segment-odd-data-chunk", _wav(np.array([1000, -1000], "<i2").tobytes() + b"\x01"), 0),
+    ("segment-rate-zero", _wav(b"\x00\x00" * 16, rate=0), 3),
+    ("segment-empty-data", _wav(b""), 3),
+]
+
+
+@pytest.mark.parametrize("build,code", [r[1:] for r in CONTRACT_ROWS],
+                         ids=[r[0] for r in CONTRACT_ROWS])
+def test_exit_code_contract(runner, tmp_path, build, code):
+    args, named = build(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code == code, result.output
+    if code:
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, result.output
+        assert named in errors[0]
+
+
+def _die_on_bad(args):
+    """Stands in for cli._annotate_one: the worker given pair 'bad' dies."""
+    if args[0].name == "bad":
+        os._exit(1)
+    return pipeline.PairResult(args[0].name, 1, 1, 0, [], [], [])
+
+
+class TestPairOutcomes:
+    def manifest(self, root, names):
+        data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
+        data["pairs"] = [dict(data["pairs"][0], name=n) for n in names]
+        return _write(root / "job.json", json.dumps(data))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bug_in_one_pair_keeps_its_traceback(self, runner, tmp_path, monkeypatch, jobs):
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched function only when forked")
+        real = pipeline.annotate_pair
+
+        def buggy(pair, *args):
+            if pair.name == "bad":
+                raise ZeroDivisionError("boom")
+            return real(pair, *args)
+
+        monkeypatch.setattr(pipeline, "annotate_pair", buggy)
+        result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["bad", "good"]),
+                                      "--jobs", jobs])
+        assert result.exit_code == 1
+        assert "bad: FAILED (Traceback (most recent call last):" in result.output
+        assert "ZeroDivisionError: boom" in result.output
+        assert "good: 2 syntagms in " in result.output
+
+    def test_killed_worker_fails_its_pairs(self, runner, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched function only when forked")
+        monkeypatch.setattr(cli, "_annotate_one", _die_on_bad)
+        result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["bad", "good"]),
+                                      "--jobs", "2"])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert "bad: FAILED (A process in the process pool was terminated abruptly" in result.output
+        assert "good: " in result.output  # done or FAILED, depending on timing

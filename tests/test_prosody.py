@@ -324,6 +324,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_mapping({"nope": 1})
 
+    @pytest.mark.parametrize("value", [None, [1], "abc", "nan", "inf", 1e400])
+    def test_bad_value_names_key(self, value):
+        with pytest.raises(ValueError, match="volume_clip_pct"):
+            PipelineConfig.from_mapping({"volume_clip_pct": value})
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             PipelineConfig(smoothing_alpha=0.0)

@@ -133,6 +133,23 @@ class TestParse:
             parse("<prosody>mot")
         assert "malformed XML" in str(err.value)
 
+    def test_offsets_count_characters_on_a_long_line(self):
+        head = emit([(f"été {i}", delta(pitch=1.0, break_ms=10)) for i in range(500)])
+        text = head + '<prosody pitch="high">fin</prosody>'
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus(text)
+        assert err.value.offset == text.index('<prosody pitch="high"')
+        text = head + "<b>&zz;</b>"
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus(text)
+        assert "malformed XML" in str(err.value)
+        assert err.value.offset == text.index("&zz;")
+
+    def test_break_time_too_large(self):
+        with pytest.raises(SsmlParseError) as err:
+            parse('<break time="' + "9" * 400 + 'ms"/>')
+        assert "too large" in str(err.value)
+
     def test_unknown_elements_opaque(self):
         doc = parse('<emphasis level="strong">mot</emphasis>')
         node = doc.segments[0][0]

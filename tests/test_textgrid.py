@@ -105,6 +105,13 @@ class TestErrors:
             parse_textgrid(truncated)
         assert "end of file" in str(err.value) or "unterminated" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_number(self, value):
+        text = long_textgrid(MINIMAL).replace("size = 1", f"size = {value}")
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(text)
+        assert err.value.line == 7
+
     def test_overlapping_intervals(self):
         bad = long_textgrid([(0.0, 1.0, "a"), (0.5, 2.0, "b")])
         with pytest.raises(TextGridParseError) as err:
