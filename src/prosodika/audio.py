@@ -13,7 +13,6 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 TARGET_RATE = 16_000
 
@@ -187,6 +186,8 @@ def resample_to_16k(buf: AudioBuffer) -> AudioBuffer:
         return buf
     if buf.sample_rate < 8_000:
         raise UnsupportedRateError(f"source rate {buf.sample_rate} Hz below 8 kHz minimum")
+    from scipy.signal import resample_poly  # slow to import; only annotate and segment need it
+
     g = gcd(buf.sample_rate, TARGET_RATE)
     up, down = TARGET_RATE // g, buf.sample_rate // g
     out = resample_poly(buf.samples, up, down, window=_sinc_kernel(up, down))

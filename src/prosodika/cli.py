@@ -15,6 +15,7 @@ into every run log.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +32,7 @@ from .prosody import (
     PipelineConfig,
     ProsodyDelta,
     json_number,
+    load_json,
     read_delta_records,
 )
 from .syntagms import FunctionWordLexicon
@@ -91,7 +93,7 @@ def build_config(config_path: str | None, overrides: dict | None = None) -> Pipe
 
 
 def _parse_breaks(text: str) -> metrics.BreakPrediction:
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or not {"word_count", "positions"} <= data.keys():
         raise ValueError("expected an object with 'word_count' and 'positions'")
     positions, probs = data["positions"], data.get("probabilities")
@@ -106,10 +108,17 @@ def _parse_breaks(text: str) -> metrics.BreakPrediction:
 
 
 def _parse_timings(text: str) -> list[float]:
-    starts = json.loads(text)
+    starts = load_json(text)
     if not isinstance(starts, list) or not starts:
         raise ValueError("expected a non-empty list of word start times in ms")
     return [float(json_number(v, "word start time")) for v in starts]
+
+
+def _finite(ctx, param, value: float) -> float:
+    """Option callback: click's FloatRange lets nan and inf through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 class _Cli(click.Group):
@@ -196,6 +205,9 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     if jobs == 1 or len(pairs) == 1:
         outcomes = [_annotate_one(task) for task in tasks]
     else:
+        # imported once here, so that every fork-started worker inherits it
+        import scipy.signal  # noqa: F401
+
         outcomes = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for fut in [pool.submit(_annotate_one, t) for t in tasks]:
@@ -228,9 +240,10 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
               help="Predicted word start times in ms (JSON list) for ARR.")
 @click.option("--gold-timings", type=click.Path(), default=None,
               help="Gold word start times in ms (JSON list).")
-@click.option("--tau-ms", default=50.0, show_default=True,
-              help="ARR temporal tolerance.")
+@click.option("--tau-ms", default=50.0, show_default=True, type=click.FloatRange(min=0),
+              callback=_finite, help="ARR temporal tolerance.")
 @click.option("--window-s", default=15.0, show_default=True,
+              type=click.FloatRange(min=0, min_open=True), callback=_finite,
               help="ARR macro-averaging window.")
 @click.option("--macro", is_flag=True, help="Average errors per segment first.")
 @click.option("-o", "--output", type=click.Path(), default=None,

@@ -19,7 +19,6 @@ differences, which is the only way this toolkit consumes loudness.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import sosfilt
 
 from .audio import AudioBuffer, SegmentBounds
 
@@ -96,6 +95,8 @@ def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -
             f"segment of {len(samples)} samples is shorter than one "
             f"{BLOCK_S * 1000:.0f} ms gating block"
         )
+    from scipy.signal import sosfilt  # slow to import; only annotate needs it
+
     weighted = sosfilt(k_weighting_sos(buf.sample_rate), samples)
     n_blocks = (len(weighted) - block) // hop + 1
     sq = np.concatenate([[0.0], np.cumsum(weighted * weighted)])

@@ -117,27 +117,34 @@ def wer(reference: list[str], hypothesis: list[str]) -> WerResult:
     """
     if not reference:
         raise ValueError("reference must be non-empty")
-    n, m = len(reference), len(hypothesis)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        ref_word = reference[i - 1]
-        row, prev = dist[i], dist[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (ref_word != hypothesis[j - 1])
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+    n, w = len(reference), len(hypothesis) + 1
+    # row-major (n + 1) x w distance table in one flat list: dist[i * w + j]
+    dist = list(range(w))
+    for i, ref_word in enumerate(reference, 1):
+        k = (i - 1) * w  # the previous row's cell j - 1
+        left = i
+        dist.append(left)
+        for hyp_word in hypothesis:
+            best = dist[k] + (ref_word != hyp_word)
+            up = dist[k + 1] + 1
+            if up < best:
+                best = up
+            if left + 1 < best:
+                best = left + 1
+            dist.append(best)
+            left = best
+            k += 1
     s = d = ins = 0
-    i, j = n, m
+    i, j = n, w - 1
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (
-            reference[i - 1] != hypothesis[j - 1]
-        ):
-            s += reference[i - 1] != hypothesis[j - 1]
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+        here = dist[i * w + j]
+        if i > 0 and j > 0:
+            miss = reference[i - 1] != hypothesis[j - 1]
+            if here == dist[(i - 1) * w + j - 1] + miss:
+                s += miss
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and here == dist[(i - 1) * w + j] + 1:
             d += 1
             i -= 1
         else:

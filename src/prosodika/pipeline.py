@@ -9,7 +9,6 @@ are byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
@@ -18,6 +17,7 @@ from pathlib import Path
 from .audio import (
     AudioBuffer,
     SegmentBounds,
+    UnsupportedRateError,
     detect_speech_segments,
     load_wav,
     peak_normalize,
@@ -32,6 +32,7 @@ from .prosody import (
     annotate_corpus,
     delta_record,
     deltas_to_jsonl,
+    load_json,
 )
 from .ssml import EmitOptions, emit
 from .syntagms import (
@@ -88,7 +89,7 @@ def load_manifest(path: str | Path) -> tuple[list[PairSpec], dict]:
 
 
 def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise ValueError("manifest must be an object with a 'pairs' list")
     overrides = data.get("config", {})
@@ -122,7 +123,12 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
 
 def prepare_audio(path: str | Path) -> AudioBuffer:
     """Load, resample to 16 kHz, and peak-normalize."""
-    return peak_normalize(resample_to_16k(load_wav(path)))
+    buf = load_wav(path)
+    try:
+        buf = resample_to_16k(buf)
+    except UnsupportedRateError as exc:
+        raise UnsupportedRateError(f"{path}: {exc}") from None
+    return peak_normalize(buf)
 
 
 def pick_words_tier(tiers: list[TextGridTier], name: str | None) -> TextGridTier:

@@ -299,6 +299,14 @@ def deltas_to_jsonl(records: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def load_json(text: str):
+    """``json.loads``, with input nested too deep for it a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def json_number(value, key: str, integer: bool = False):
     """``value`` if it is a JSON number that a float can hold (an integer if
     ``integer``; bools are not numbers), else ValueError naming ``key``."""
@@ -317,7 +325,7 @@ def read_delta_records(text: str) -> list[dict]:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = load_json(line)
             if not isinstance(rec, dict):
                 raise ValueError("not a JSON object")
             for key in ("pitch_pct", "rate_pct", "volume_pct", "break_ms"):

@@ -34,6 +34,10 @@ MSTTS_XMLNS = "https://www.w3.org/2001/mstts"
 LEADING_EXACT = "leading-exact"
 TRAILING_EXACT = "trailing-exact"
 
+# deepest element nesting the parser accepts; validate and tag_census walk
+# the tree recursively, so a deeper one would exhaust the interpreter's stack
+MAX_DEPTH = 100
+
 # formatting quantization allowance on range checks: two-decimal rendering
 # may round a value by up to half a unit in the last place
 _QUANT_EPS = 0.005 + 1e-9
@@ -324,6 +328,10 @@ class _Parser:
             self.stack[-1].children.append(TextNode(norm))
 
     def _start(self, tag: str, attrs: list[str]):
+        # the stack holds a base frame and the wrapper before any element
+        if len(self.stack) > MAX_DEPTH + 1:
+            raise SsmlParseError(f"elements nested more than {MAX_DEPTH} deep",
+                                 self._offset(self.parser.CurrentByteIndex))
         self._flush_text()
         self.stack.append(_Frame(tag, attrs, self.parser.CurrentByteIndex))
 

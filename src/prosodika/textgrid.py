@@ -3,7 +3,8 @@
 Only IntervalTiers are returned (point tiers are consumed and skipped).
 Labels are preserved verbatim, including Praat's "" quote escapes, which are
 unescaped. Parse failures raise TextGridParseError carrying the 1-based line
-number of the offending input line.
+number of the offending input line, and the file's path when read_textgrid
+read it.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from pathlib import Path
 
 
 class TextGridParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(message, line)  # both in args, so the error survives pickling
+    def __init__(self, message: str, line: int, path: str | None = None):
+        super().__init__(message, line, path)  # all in args, so the error survives pickling
         self.line = line
+        self.path = path
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.args[0]}"
+        where = f"{self.path}: " if self.path else ""
+        return f"line {self.line}: {where}{self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -189,4 +192,7 @@ def read_textgrid(path: str | Path) -> list[TextGridTier]:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
             text = blob.decode("latin-1")
-    return parse_textgrid(text)
+    try:
+        return parse_textgrid(text)
+    except TextGridParseError as exc:
+        raise TextGridParseError(exc.args[0], exc.line, str(path)) from None

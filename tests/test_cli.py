@@ -169,6 +169,20 @@ class TestAnnotate:
             assert (tmp_path / "out" / f"pair00{suffix}").exists()
         assert not (tmp_path / "out" / "bad.ssml").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failures_name_the_file_at_fault(self, runner, tmp_path, jobs):
+        manifest, line = two_pairs_one_bad_grid(tmp_path)
+        data = json.loads(manifest.read_text())
+        write_wav_int16(tmp_path / "low.wav", tone(200.0, 1.0, 4000), 4000)
+        data["pairs"].append(dict(data["pairs"][0], name="low", synthetic_wav="low.wav"))
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["annotate", str(manifest), "--jobs", jobs])
+        assert result.exit_code == 3
+        assert f"bad: FAILED (line {line}: {tmp_path / 'broken.TextGrid'}: " in result.output
+        assert (f"low: FAILED ({tmp_path / 'low.wav'}: source rate 4000 Hz below 8 kHz minimum)"
+                in result.output)
+        assert "pair00: 5 syntagms" in result.output
+
     def test_unreadable_lexicon_fails_once_before_any_pair(self, runner, tmp_path):
         manifest_path = build_e2e_corpus(tmp_path, n_syntagms=2)
         data = json.loads(manifest_path.read_text())
@@ -451,6 +465,7 @@ def _ssml_doc(root):
 
 GOOD_SIDE = {"breaks": '{"word_count": 2, "positions": [1]}', "timings": "[0.0, 300.0]"}
 NOT_UTF8 = b"<prosody>caf\xe9</prosody>\n"
+DEEP_JSON = "[" * 100_000
 
 
 def _score_side(kind, pred, gold=None):
@@ -509,6 +524,28 @@ def _missing_manifest(root):
     return ["annotate", missing], missing
 
 
+def _score_option(option, value):
+    """score with an out-of-range ARR option value, which click reports."""
+    def build(root):
+        doc = _ssml_doc(root)
+        timings = _write(root / "timings.json", GOOD_SIDE["timings"])
+        return ["score", doc, doc, "--pred-timings", timings, "--gold-timings", timings,
+                option, value], option
+    return build
+
+
+def _deep_manifest(root):
+    path = _write(root / "job.json", '{"output_dir": "out", "pairs": ' + DEEP_JSON)
+    return ["annotate", path], path
+
+
+def _deep_ssml(command):
+    def build(root):
+        path = _write(root / "deep.ssml", "<a>" * 5000 + "mot" + "</a>" * 5000 + "\n")
+        return [command, path], path
+    return build
+
+
 def _wav(data: bytes, rate=16000):
     """segment on a 16-bit mono WAV holding ``data``."""
     def build(root):
@@ -518,7 +555,8 @@ def _wav(data: bytes, rate=16000):
     return build
 
 
-# (id, function of a tmp dir giving (argv, the file the error must name), exit code)
+# (id, function of a tmp dir giving (argv, the file or option the error must name),
+# exit code)
 CONTRACT_ROWS = [
     ("breaks-without-word-count", _score_side("breaks", '{"positions": [1]}'), 3),
     ("breaks-invalid-json", _score_side("breaks", '{"word_count": 2,'), 3),
@@ -546,6 +584,20 @@ CONTRACT_ROWS = [
     ("segment-odd-data-chunk", _wav(np.array([1000, -1000], "<i2").tobytes() + b"\x01"), 0),
     ("segment-rate-zero", _wav(b"\x00\x00" * 16, rate=0), 3),
     ("segment-empty-data", _wav(b""), 3),
+    ("segment-rate-below-8k", _wav(b"\x00\x10" * 400, rate=4000), 3),
+    ("score-window-zero", _score_option("--window-s", "0"), 2),
+    ("score-window-negative", _score_option("--window-s", "-1"), 2),
+    ("score-window-nan", _score_option("--window-s", "nan"), 2),
+    ("score-window-inf", _score_option("--window-s", "inf"), 2),
+    ("score-tau-negative", _score_option("--tau-ms", "-0.5"), 2),
+    ("score-tau-nan", _score_option("--tau-ms", "nan"), 2),
+    ("score-tau-inf", _score_option("--tau-ms", "inf"), 2),
+    ("stats-deep-nesting", _stats(DEEP_JSON), 3),
+    ("breaks-deep-nesting", _score_side("breaks", DEEP_JSON), 3),
+    ("timings-deep-nesting", _score_side("timings", DEEP_JSON), 3),
+    ("annotate-deep-manifest", _deep_manifest, 3),
+    ("census-deep-ssml", _deep_ssml("census"), 3),
+    ("validate-deep-ssml", _deep_ssml("validate-ssml"), 3),
 ]
 
 
@@ -558,7 +610,9 @@ def test_exit_code_contract(runner, tmp_path, build, code):
     assert "Traceback" not in result.output
     assert result.exit_code == code, result.output
     if code:
-        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        # click reports a bad option value itself, naming the option
+        prefix = "Error: Invalid value for " if named.startswith("--") else "error: "
+        errors = [line for line in result.output.splitlines() if line.startswith(prefix)]
         assert len(errors) == 1, result.output
         assert named in errors[0]
 

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prosodika import ssml
 from prosodika.audio import AudioError, load_wav
@@ -115,6 +115,32 @@ def test_parse_corpus_raises_only_parse_errors(text):
     except ssml.SsmlParseError:
         return
     ssml.validate(doc)  # what validate-ssml and census run next
+    tag_census([doc])
+
+
+NESTING_TAGS = ["prosody", "emphasis", "s", "mstts:express-as", "voice", "speak"]
+
+
+@FUZZ
+@given(depth=st.integers(1, 3 * ssml.MAX_DEPTH),
+       tags=st.lists(st.sampled_from(NESTING_TAGS), min_size=1, max_size=6))
+@example(depth=ssml.MAX_DEPTH, tags=["s"])
+@example(depth=ssml.MAX_DEPTH + 1, tags=["s"])
+@example(depth=5000, tags=["a"])
+def test_deep_nesting_is_a_parse_error(depth, tags):
+    opened = [tags[i % len(tags)] for i in range(depth)]
+    text = ("mot " + "".join(f"<{t}>" for t in opened) + "mot"
+            + "".join(f"</{t}>" for t in reversed(opened)))
+    try:
+        doc = ssml.parse_corpus(text)
+    except ssml.SsmlParseError as exc:
+        assert depth > ssml.MAX_DEPTH
+        assert "nested more than" in str(exc)
+        # at the first element too deep
+        assert exc.offset == len("mot ") + sum(len(f"<{t}>") for t in opened[:ssml.MAX_DEPTH])
+        return
+    assert depth <= ssml.MAX_DEPTH
+    ssml.validate(doc)  # walks the whole tree, as tag_census does
     tag_census([doc])
 
 
