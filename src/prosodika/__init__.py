@@ -16,7 +16,6 @@ from .audio import (
     load_wav,
     peak_normalize,
     resample_to_16k,
-    speaking_rate,
 )
 from .loudness import SILENCE, SegmentTooShortError, integrated_loudness
 from .metrics import (

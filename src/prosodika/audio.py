@@ -78,10 +78,6 @@ class SegmentBounds:
         if self.start_ms < 0 or self.end_ms <= self.start_ms:
             raise ValueError(f"invalid bounds [{self.start_ms}, {self.end_ms})")
 
-    @property
-    def duration_ms(self) -> int:
-        return self.end_ms - self.start_ms
-
 
 def _decode_pcm(path: Path, raw: bytes, bits: int, audio_format: int) -> np.ndarray:
     if audio_format not in (1, 3):
@@ -207,15 +203,15 @@ def peak_normalize(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(buf.samples / peak, buf.sample_rate)
 
 
-def _window_rms_db(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
+def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Mean squared sample over each whole ``win``-sample window, one window
+    every ``hop`` samples."""
     n_windows = (len(samples) - win) // hop + 1
     if n_windows <= 0:
         return np.empty(0)
     sq = np.concatenate([[0.0], np.cumsum(samples * samples)])
     starts = np.arange(n_windows) * hop
-    mean_sq = (sq[starts + win] - sq[starts]) / win
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(mean_sq)
+    return (sq[starts + win] - sq[starts]) / win
 
 
 def detect_speech_segments(
@@ -232,7 +228,8 @@ def detect_speech_segments(
     """
     win = int(round(buf.sample_rate * RMS_WINDOW_MS / 1000.0))
     hop = int(round(buf.sample_rate * RMS_HOP_MS / 1000.0))
-    rms_db = _window_rms_db(buf.samples, win, hop)
+    with np.errstate(divide="ignore"):
+        rms_db = 10.0 * np.log10(window_power(buf.samples, win, hop))
     speech = rms_db > threshold_dbfs
     runs: list[list[int]] = []  # [start_ms, end_ms] over window extents
     for i in np.flatnonzero(speech):
@@ -249,10 +246,3 @@ def detect_speech_segments(
         else:
             merged.append(run)
     return [SegmentBounds(a, b) for a, b in merged]
-
-
-def speaking_rate(word_count: int, net_duration_s: float) -> float:
-    """Words per second over net speech time (pauses already removed)."""
-    if net_duration_s <= 0:
-        raise ValueError(f"net duration must be positive, got {net_duration_s}")
-    return word_count / net_duration_s

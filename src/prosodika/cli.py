@@ -141,9 +141,9 @@ def main():
 @click.argument("audio", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Bounds file (TSV start_ms/end_ms); stdout when omitted.")
-@click.option("--threshold-dbfs", default=-35.0, show_default=True,
+@click.option("--threshold-dbfs", default=-35.0, show_default=True, callback=_finite,
               help="RMS silence threshold relative to full scale.")
-@click.option("--min-gap-ms", default=300, show_default=True,
+@click.option("--min-gap-ms", default=300, show_default=True, type=click.IntRange(min=0),
               help="Silences shorter than this merge into speech.")
 def segment(audio, output, threshold_dbfs, min_gap_ms):
     """Detect speech segments in a WAV file."""
@@ -182,7 +182,7 @@ def _annotate_one(args):
 @click.option("--suppress-neutral", is_flag=True,
               help="Drop markup for all-zero deltas and zero breaks.")
 @click.option("--voice", default=ssml.DEFAULT_VOICE, show_default=True)
-@click.option("--jobs", default=None, type=int,
+@click.option("--jobs", default=None, type=click.IntRange(min=1),
               help="Parallel workers; defaults to the processor count.")
 def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
              suppress_neutral, voice, jobs):
@@ -200,7 +200,6 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         voice=voice,
         config=cfg,
     )
-    jobs = jobs or None
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
     if jobs == 1 or len(pairs) == 1:
         outcomes = [_annotate_one(task) for task in tasks]

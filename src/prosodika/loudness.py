@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import AudioBuffer, SegmentBounds
+from .audio import AudioBuffer, SegmentBounds, window_power
 
 SILENCE = float("-inf")
 
@@ -97,11 +97,7 @@ def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -
         )
     from scipy.signal import sosfilt  # slow to import; only annotate needs it
 
-    weighted = sosfilt(k_weighting_sos(buf.sample_rate), samples)
-    n_blocks = (len(weighted) - block) // hop + 1
-    sq = np.concatenate([[0.0], np.cumsum(weighted * weighted)])
-    starts = np.arange(n_blocks) * hop
-    power = (sq[starts + block] - sq[starts]) / block
+    power = window_power(sosfilt(k_weighting_sos(buf.sample_rate), samples), block, hop)
     with np.errstate(divide="ignore"):
         level = _OFFSET + 10.0 * np.log10(power)
     survivors = power[level > ABSOLUTE_GATE_LUFS]

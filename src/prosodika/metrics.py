@@ -23,7 +23,6 @@ from .ssml import (
     BreakElement,
     OpaqueElement,
     ProsodyElement,
-    SilenceDirective,
     SsmlDocument,
     TextNode,
 )
@@ -160,14 +159,18 @@ def arr(
     window_s: float = 15.0,
 ) -> float:
     """Alignment recall rate: fraction of words whose predicted start is
-    within tau of gold, macro-averaged over fixed 15 s windows anchored at
-    t = 0 of the gold stream. Windows with no words are skipped."""
+    within tau of gold, macro-averaged over fixed windows of ``window_s``
+    anchored at t = 0 of the gold stream. Windows with no words are skipped."""
     if len(pred_starts_ms) != len(gold_starts_ms):
         raise PairingError(
             f"list lengths differ: {len(pred_starts_ms)} vs {len(gold_starts_ms)}"
         )
     if not gold_starts_ms:
         raise ValueError("need at least one word")
+    if not (0.0 < window_s < math.inf):
+        raise ValueError(f"window_s must be positive and finite, got {window_s}")
+    if not (0.0 <= tau_ms < math.inf):
+        raise ValueError(f"tau_ms must be zero or more and finite, got {tau_ms}")
     window_ms = window_s * 1000.0
     hits: dict[int, list[bool]] = {}
     for p, g in zip(pred_starts_ms, gold_starts_ms):
@@ -326,8 +329,6 @@ def _count_tags(nodes: tuple, counts: dict):
             counts["chars"] += len(node.content)
         elif isinstance(node, OpaqueElement):
             _count_tags(node.children, counts)
-        elif isinstance(node, SilenceDirective):
-            pass
 
 
 def tag_census(docs: list[SsmlDocument]) -> TagCensus:

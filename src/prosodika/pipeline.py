@@ -1,8 +1,8 @@
 """End-to-end annotation pipeline for one natural/synthetic pair.
 
-Wiring: load and preprocess both WAVs, silence-segment the natural audio,
-parse both TextGrids into syntagms, measure per-syntagm features on both
-voices, derive deltas, and emit one SSML fragment per audio segment. All
+Wiring: analyze each voice (load and preprocess its WAV, parse its TextGrid
+into syntagms, measure per-syntagm features), silence-segment the natural
+audio, derive deltas, and emit one SSML fragment per audio segment. All
 steps are deterministic, so a pair can be processed on any worker and reruns
 are byte-identical.
 """
@@ -22,7 +22,6 @@ from .audio import (
     load_wav,
     peak_normalize,
     resample_to_16k,
-    speaking_rate,
 )
 from .loudness import SILENCE, SegmentTooShortError, integrated_loudness
 from .pitch import F0Track, estimate_f0_track, median_f0
@@ -156,27 +155,29 @@ def syntagms_from_textgrid(
 def measure_features(
     buf: AudioBuffer, track: F0Track, syntagms: list[Syntagm]
 ) -> list[SyntagmFeatures]:
-    """Per-syntagm f0 median, loudness, and speaking rate for one voice."""
+    """Per-syntagm f0 median and loudness for one voice."""
     out = []
     for s in syntagms:
         bounds = SegmentBounds(s.start_ms, s.end_ms)
-        f0 = median_f0(track, bounds)
         try:
             lufs = integrated_loudness(buf, bounds)
         except SegmentTooShortError:
             lufs = None
         if lufs == SILENCE:
             lufs = None
-        out.append(
-            SyntagmFeatures(
-                median_f0_hz=f0,
-                loudness_lufs=lufs,
-                rate_wps=speaking_rate(s.word_count, s.net_duration_s),
-                word_count=s.word_count,
-                net_duration_s=s.net_duration_s,
-            )
-        )
+        out.append(SyntagmFeatures(median_f0_hz=median_f0(track, bounds), loudness_lufs=lufs))
     return out
+
+
+def analyze_voice(
+    wav: str | Path, grid: str | Path, lexicon: FunctionWordLexicon, tier: str | None
+) -> tuple[AudioBuffer, list[Syntagm], list[tuple[Syntagm, SyntagmFeatures]]]:
+    """One voice's prepared audio, its syntagms, and each syntagm paired with
+    its measured features, as annotate_corpus takes them."""
+    buf = prepare_audio(wav)
+    syntagms = syntagms_from_textgrid(grid, lexicon, tier)
+    features = measure_features(buf, estimate_f0_track(buf), syntagms)
+    return buf, syntagms, list(zip(syntagms, features))
 
 
 def assign_segments(syntagms: list[Syntagm], segments: list[SegmentBounds]) -> list[int]:
@@ -217,21 +218,12 @@ def annotate_pair(
     lexicon: FunctionWordLexicon,
     emit_options: EmitOptions,
 ) -> PairResult:
-    nat_buf = prepare_audio(pair.natural_wav)
-    syn_buf = prepare_audio(pair.synthetic_wav)
+    nat_buf, nat_syntagms, nat = analyze_voice(
+        pair.natural_wav, pair.textgrid_nat, lexicon, pair.words_tier)
+    _, _, syn = analyze_voice(pair.synthetic_wav, pair.textgrid_syn, lexicon, pair.words_tier)
     segments = detect_speech_segments(nat_buf)
 
-    nat_syntagms = syntagms_from_textgrid(pair.textgrid_nat, lexicon, pair.words_tier)
-    syn_syntagms = syntagms_from_textgrid(pair.textgrid_syn, lexicon, pair.words_tier)
-
-    nat_track = estimate_f0_track(nat_buf)
-    syn_track = estimate_f0_track(syn_buf)
-    nat_feats = measure_features(nat_buf, nat_track, nat_syntagms)
-    syn_feats = measure_features(syn_buf, syn_track, syn_syntagms)
-
-    deltas = annotate_corpus(
-        list(zip(nat_syntagms, nat_feats)), list(zip(syn_syntagms, syn_feats)), cfg
-    )
+    deltas = annotate_corpus(nat, syn, cfg)
     seg_of = assign_segments(nat_syntagms, segments)
 
     records, groups = [], {}

@@ -4,7 +4,7 @@ The estimator is a difference-function autocorrelation with cumulative-mean
 normalization (YIN-style): per frame, d(tau) is the energy of the residual
 between the frame and its tau-shifted copy, normalized by its running mean.
 A frame is voiced when the normalized difference dips below the confidence
-threshold inside the [fmin, fmax] lag range (YIN's absolute-threshold step);
+threshold inside the [FMIN, FMAX] lag range (YIN's absolute-threshold step);
 the dip location is refined by parabolic interpolation and converted to Hz.
 
 A track is one read-only structured array with a ``time_ms`` field (frame
@@ -22,6 +22,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, SegmentBounds
 
+FRAME_MS = 40
+HOP_MS = 10
+FMIN = 60
+FMAX = 400
 VOICING_THRESHOLD = 0.15
 _BATCH_FRAMES = 4096
 FRAME_DTYPE = np.dtype([("time_ms", np.float64), ("f0_hz", np.float64)])
@@ -65,15 +69,14 @@ def _cmndf_batch(frames: np.ndarray, w: int, lag_max: int) -> np.ndarray:
     return np.concatenate([np.ones((n, 1)), norm], axis=1)
 
 
-def _pick_f0(cmndf: np.ndarray, lag_min: int, sample_rate: int,
-             fmin: float, fmax: float, threshold: float) -> np.ndarray:
+def _pick_f0(cmndf: np.ndarray, lag_min: int, sample_rate: int) -> np.ndarray:
     """f0 per CMNDF row (lags 0..lag_max); NaN where no lag >= lag_min dips
     below the threshold."""
     lag_max = cmndf.shape[1] - 1
     if lag_min > lag_max:
         return np.full(len(cmndf), np.nan)
     seg = cmndf[:, lag_min:]
-    below = seg < threshold
+    below = seg < VOICING_THRESHOLD
     # walk downhill from the first candidate to the first non-decreasing step
     stop = np.ones(seg.shape, dtype=bool)
     stop[:, :-1] = ~(seg[:, 1:] < seg[:, :-1])
@@ -85,35 +88,22 @@ def _pick_f0(cmndf: np.ndarray, lag_min: int, sample_rate: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.where(np.abs(denom) > 1e-12, 0.5 * (a - c) / denom, 0.0)
     delta = np.where(dip < lag_max, np.clip(delta, -0.5, 0.5), 0.0)
-    f0 = np.minimum(np.maximum(sample_rate / (dip + delta), fmin), fmax)
+    f0 = np.minimum(np.maximum(sample_rate / (dip + delta), FMIN), FMAX)
     return np.where(below.any(axis=1), f0, np.nan)
 
 
-def estimate_f0_track(
-    buf: AudioBuffer,
-    frame_ms: float = 40,
-    hop_ms: float = 10,
-    fmin: float = 60,
-    fmax: float = 400,
-    threshold: float = VOICING_THRESHOLD,
-) -> F0Track:
-    """Track f0 over the buffer, one frame per hop.
+def estimate_f0_track(buf: AudioBuffer) -> F0Track:
+    """Track f0 over the buffer, one ``FRAME_MS`` frame per ``HOP_MS`` hop.
 
-    The frame must span at least two periods of ``fmin``; frame times are
-    frame centers. Unvoiced frames (no confident dip) carry NaN f0.
+    The frame spans at least two periods of ``FMIN``; frame times are frame
+    centers. Unvoiced frames (no confident dip) carry NaN f0.
     """
-    if frame_ms < 2000.0 / fmin:
-        raise ValueError(
-            f"frame_ms={frame_ms} shorter than two fmin periods ({2000.0 / fmin:.1f} ms)"
-        )
-    if not (0 < fmin < fmax):
-        raise ValueError(f"need 0 < fmin < fmax, got [{fmin}, {fmax}]")
     sr = buf.sample_rate
-    frame_len = int(round(sr * frame_ms / 1000.0))
-    hop = int(round(sr * hop_ms / 1000.0))
+    frame_len = int(round(sr * FRAME_MS / 1000.0))
+    hop = int(round(sr * HOP_MS / 1000.0))
     w = frame_len // 2
-    lag_max = min(w, int(np.ceil(sr / fmin)))
-    lag_min = max(2, int(sr // fmax))
+    lag_max = min(w, int(np.ceil(sr / FMIN)))
+    lag_min = max(2, int(sr // FMAX))
     n_frames = max(0, (len(buf.samples) - frame_len) // hop + 1)
 
     f0 = np.full(n_frames, np.nan)
@@ -121,7 +111,7 @@ def estimate_f0_track(
         windows = sliding_window_view(buf.samples, frame_len)[::hop]
         for base in range(0, n_frames, _BATCH_FRAMES):
             cmndf = _cmndf_batch(windows[base : base + _BATCH_FRAMES], w, lag_max)
-            f0[base : base + len(cmndf)] = _pick_f0(cmndf, lag_min, sr, fmin, fmax, threshold)
+            f0[base : base + len(cmndf)] = _pick_f0(cmndf, lag_min, sr)
     time_ms = (np.arange(n_frames) * hop + frame_len / 2.0) * 1000.0 / sr
     return F0Track.from_arrays(time_ms, f0)
 

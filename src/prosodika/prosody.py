@@ -90,9 +90,6 @@ class SyntagmFeatures:
 
     median_f0_hz: float | None
     loudness_lufs: float | None
-    rate_wps: float
-    word_count: int
-    net_duration_s: float
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def annotate_corpus(
     volumes: list[float] = []
     flag_sets: list[list[str]] = []
     for i in range(n):
-        (_, feats_nat), (_, feats_syn) = nat[i], syn[i]
+        (s_nat, feats_nat), (s_syn, feats_syn) = nat[i], syn[i]
         flags: list[str] = []
         if feats_nat.median_f0_hz is not None and f0_baseline[i] is not None:
             pitch_raw.append(pitch_delta(feats_nat.median_f0_hz, f0_baseline[i], cfg))
@@ -258,11 +255,9 @@ def annotate_corpus(
             volumes.append(0.0)
             flags.append(FLAG_NO_LOUDNESS)
         rate_raw.append(
-            rate_delta(
-                feats_nat.word_count, feats_nat.net_duration_s, feats_syn.net_duration_s, cfg
-            )
+            rate_delta(s_nat.word_count, s_nat.net_duration_s, s_syn.net_duration_s, cfg)
         )
-        if nat[i][0].pause_injected:
+        if s_nat.pause_injected:
             flags.append(FLAG_INJECTED_BREAK)
         flag_sets.append(flags)
 

@@ -10,11 +10,9 @@ was).
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable
 
 from .textgrid import TextGridTier
@@ -107,11 +105,6 @@ class FunctionWordLexicon:
         return len(self._entries)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "FunctionWordLexicon":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(text.splitlines())
-
-    @classmethod
     def default(cls) -> "FunctionWordLexicon":
         text = resources.files("prosodika.data").joinpath("function_words_fr.txt").read_text(
             encoding="utf-8"
@@ -169,20 +162,16 @@ def filter_function_word_pauses(
     return out
 
 
-def ends_sentence(word_text: str, sentence_final_punct: frozenset[str] = SENTENCE_FINAL_PUNCT) -> bool:
+def ends_sentence(word_text: str) -> bool:
     stripped = word_text.rstrip().rstrip(_CLOSERS)
-    return bool(stripped) and stripped[-1] in sentence_final_punct
+    return bool(stripped) and stripped[-1] in SENTENCE_FINAL_PUNCT
 
 
-def segment_syntagms(
-    tokens: list[Token],
-    sentence_final_punct: frozenset[str] = SENTENCE_FINAL_PUNCT,
-    min_final_pause_ms: int = MIN_FINAL_PAUSE_MS,
-) -> list[Syntagm]:
+def segment_syntagms(tokens: list[Token]) -> list[Syntagm]:
     """Split a token stream into syntagms at pause tokens.
 
     A pause after a word ending in sentence-final punctuation is raised to at
-    least ``min_final_pause_ms``; when such a word has no following pause at
+    least ``MIN_FINAL_PAUSE_MS``; when such a word has no following pause at
     all, a pause of that length is injected (virtually: surrounding timings
     are not shifted). The last syntagm's trailing pause is the stream's final
     pause under the same rules, or 0 when the stream ends mid-sentence with
@@ -202,45 +191,13 @@ def segment_syntagms(
             if not words:
                 continue  # leading pause: nothing to close
             observed = tok.duration_ms
-            if ends_sentence(words[-1].text, sentence_final_punct):
-                observed = max(observed, min_final_pause_ms)
+            if ends_sentence(words[-1].text):
+                observed = max(observed, MIN_FINAL_PAUSE_MS)
             close(observed)
         else:
             words.append(tok)
             next_tok = tokens[i + 1] if i + 1 < len(tokens) else None
-            if ends_sentence(tok.text, sentence_final_punct) and (
-                next_tok is None or next_tok.kind == WORD
-            ):
-                close(min_final_pause_ms, injected=True)
+            if ends_sentence(tok.text) and (next_tok is None or next_tok.kind == WORD):
+                close(MIN_FINAL_PAUSE_MS, injected=True)
     close(0)
     return syntagms
-
-
-def tokens_to_jsonl(tokens: list[Token]) -> str:
-    lines = [
-        json.dumps(
-            {"kind": t.kind, "text": t.text, "start_ms": t.start_ms, "end_ms": t.end_ms},
-            ensure_ascii=False,
-        )
-        for t in tokens
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def syntagms_to_jsonl(syntagms: list[Syntagm]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "text": s.text,
-                "start_ms": s.start_ms,
-                "end_ms": s.end_ms,
-                "word_count": s.word_count,
-                "net_duration_s": round(s.net_duration_s, 6),
-                "trailing_pause_ms": s.trailing_pause_ms,
-                "pause_injected": s.pause_injected,
-            },
-            ensure_ascii=False,
-        )
-        for s in syntagms
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

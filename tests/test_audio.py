@@ -12,7 +12,6 @@ from prosodika.audio import (
     load_wav,
     peak_normalize,
     resample_to_16k,
-    speaking_rate,
 )
 
 from conftest import tone, write_wav_int16, write_wav_raw
@@ -191,21 +190,6 @@ class TestDetectSpeechSegments:
                 assert any(
                     s.start_ms <= start_ms and end_ms <= s.end_ms for s in segs
                 ), f"window at {start_ms} ms not covered"
-
-
-class TestSpeakingRate:
-    def test_definition(self):
-        assert speaking_rate(10, 5.0) == 2.0
-
-    def test_zero_words(self):
-        assert speaking_rate(0, 2.0) == 0.0
-
-    def test_hand_value(self):
-        assert speaking_rate(7, 3.5) == pytest.approx(2.0)
-
-    def test_rejects_zero_duration(self):
-        with pytest.raises(ValueError):
-            speaking_rate(3, 0.0)
 
 
 class TestBounds:

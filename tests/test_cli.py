@@ -555,6 +555,25 @@ def _wav(data: bytes, rate=16000):
     return build
 
 
+def _jobs(value, n_pairs):
+    """annotate ``n_pairs`` pairs with an out-of-range --jobs, which click reports."""
+    def build(root):
+        data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
+        data["pairs"] = [dict(data["pairs"][0], name=f"p{i}") for i in range(n_pairs)]
+        path = _write(root / "job.json", json.dumps(data))
+        return ["annotate", path, "--jobs", value], "--jobs"
+    return build
+
+
+def _segment_option(option, value):
+    """segment of a tone with an out-of-range option value, which click reports."""
+    def build(root):
+        path = root / "x.wav"
+        write_wav_int16(path, tone(200, 1.0, 16000), 16000)
+        return ["segment", str(path), option, value], option
+    return build
+
+
 # (id, function of a tmp dir giving (argv, the file or option the error must name),
 # exit code)
 CONTRACT_ROWS = [
@@ -598,6 +617,12 @@ CONTRACT_ROWS = [
     ("annotate-deep-manifest", _deep_manifest, 3),
     ("census-deep-ssml", _deep_ssml("census"), 3),
     ("validate-deep-ssml", _deep_ssml("validate-ssml"), 3),
+    ("annotate-jobs-negative-one-pair", _jobs("-1", 1), 2),
+    ("annotate-jobs-negative-two-pairs", _jobs("-1", 2), 2),
+    ("annotate-jobs-zero", _jobs("0", 2), 2),
+    ("segment-threshold-nan", _segment_option("--threshold-dbfs", "nan"), 2),
+    ("segment-threshold-inf", _segment_option("--threshold-dbfs", "inf"), 2),
+    ("segment-min-gap-negative", _segment_option("--min-gap-ms", "-500"), 2),
 ]
 
 

@@ -192,6 +192,16 @@ class TestArr:
         pred = [g + 70.0 for g in gold]  # shift pushes every offset past tau
         assert arr(pred, gold, tau_ms=50.0) == 0.0
 
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_window(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            arr([0.0], [0.0], 50.0, window_s)
+
+    @pytest.mark.parametrize("tau_ms", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_tau(self, tau_ms):
+        with pytest.raises(ValueError, match="tau_ms"):
+            arr([0.0], [0.0], tau_ms)
+
 
 def doc_of(syntagms, **opts):
     return parse(emit(syntagms, EmitOptions(**opts)))

@@ -200,8 +200,8 @@ def make_syntagm(words, start_ms=0, word_ms=300, pause_ms=200):
     return Syntagm(tuple(toks), pause_ms)
 
 
-def feats(f0=200.0, lufs=-20.0, wps=2.0, n=2, dur=1.0):
-    return SyntagmFeatures(f0, lufs, wps, n, dur)
+def feats(f0=200.0, lufs=-20.0):
+    return SyntagmFeatures(f0, lufs)
 
 
 class TestAnnotateCorpus:
@@ -272,10 +272,10 @@ class TestAnnotateCorpus:
         assert "1" in str(err.value)
 
     def test_rate_uses_durations(self):
-        s_nat = make_syntagm(["a", "b", "c"])
-        s_syn = make_syntagm(["a", "b", "c"])
-        nat = [(s_nat, feats(n=3, dur=1.2))]
-        syn = [(s_syn, feats(n=3, dur=1.5))]
+        s_nat = make_syntagm(["a", "b", "c"], word_ms=400)  # 1.2 s
+        s_syn = make_syntagm(["a", "b", "c"], word_ms=500)  # 1.5 s
+        nat = [(s_nat, feats())]
+        syn = [(s_syn, feats())]
         (delta,) = annotate_corpus(nat, syn, CFG)
         assert delta.rate_pct == 5.0  # +25 raw, x0.5, ceiling
 

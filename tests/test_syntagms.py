@@ -63,7 +63,7 @@ class TestLexicon:
     def test_custom_file(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("# comment\nfoo\nBAR\n", encoding="utf-8")
-        lex = FunctionWordLexicon.from_file(p)
+        lex = FunctionWordLexicon(p.read_text(encoding="utf-8").splitlines())
         assert "foo" in lex and "bar" in lex and "baz" not in lex
 
 
@@ -204,46 +204,8 @@ def test_word_sequence_preserved(spec):
             assert s.trailing_pause_ms >= 500
 
 
-class TestSerialization:
-    def test_tokens_jsonl(self):
-        import json
-
-        from prosodika.syntagms import tokens_to_jsonl
-
-        toks = [word("le", 0, 150), pause(150, 400), word("chat", 400, 800)]
-        lines = tokens_to_jsonl(toks).splitlines()
-        assert len(lines) == 3
-        first = json.loads(lines[0])
-        assert first == {"kind": "word", "text": "le", "start_ms": 0, "end_ms": 150}
-        assert json.loads(lines[1])["kind"] == "pause"
-
-    def test_syntagms_jsonl(self):
-        import json
-
-        from prosodika.syntagms import syntagms_to_jsonl
-
-        syn = segment_syntagms(
-            [word("fin.", 0, 400), word("Et", 400, 600), pause(600, 900)]
-        )
-        lines = syntagms_to_jsonl(syn).splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["text"] == "fin."
-        assert first["trailing_pause_ms"] == 500
-        assert first["pause_injected"] is True
-        assert json.loads(lines[1])["pause_injected"] is False
-
-    def test_empty_streams_serialize_empty(self):
-        from prosodika.syntagms import syntagms_to_jsonl, tokens_to_jsonl
-
-        assert tokens_to_jsonl([]) == ""
-        assert syntagms_to_jsonl([]) == ""
-
-
 @given(words_strategy)
 def test_segmentation_deterministic(spec):
-    from prosodika.syntagms import syntagms_to_jsonl
-
     toks = []
     cursor = 0
     for text, dur, gap in spec:
@@ -252,6 +214,4 @@ def test_segmentation_deterministic(spec):
         if gap:
             toks.append(pause(cursor, cursor + gap))
             cursor += gap
-    first = syntagms_to_jsonl(segment_syntagms(list(toks)))
-    second = syntagms_to_jsonl(segment_syntagms(list(toks)))
-    assert first == second
+    assert segment_syntagms(list(toks)) == segment_syntagms(list(toks))
