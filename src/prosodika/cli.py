@@ -26,9 +26,9 @@ import click
 
 from . import metrics, pipeline, ssml
 from .audio import AudioError, UnreadableFileError, detect_speech_segments
-from .prosody import PairingError as ProsodyPairingError
 from .prosody import (
     FLAG_INJECTED_BREAK,
+    PairingError,
     PipelineConfig,
     ProsodyDelta,
     json_number,
@@ -51,7 +51,7 @@ INPUT_ERRORS = (OSError, ValueError, AudioError, TextGridParseError, ssml.SsmlPa
 
 def _classify(exc: BaseException) -> int:
     """Exit code of an error: the only place that picks 2, 3 or 4."""
-    if isinstance(exc, (ProsodyPairingError, metrics.PairingError)):
+    if isinstance(exc, PairingError):
         return EXIT_PAIRING
     if isinstance(exc, (OSError, UnreadableFileError)):
         return EXIT_IO
@@ -119,6 +119,13 @@ def _finite(ctx, param, value: float) -> float:
     if not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number")
     return value
+
+
+def _paired(pred_option: str, pred, gold_option: str, gold):
+    """Usage error unless both or neither of a pred/gold option pair is given."""
+    if (pred is None) != (gold is None):
+        given, missing = (pred_option, gold_option) if gold is None else (gold_option, pred_option)
+        raise click.BadParameter(f"given without {missing}", param_hint=f"'{given}'")
 
 
 class _Cli(click.Group):
@@ -198,7 +205,6 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         full_document=full_document,
         suppress_neutral=suppress_neutral,
         voice=voice,
-        config=cfg,
     )
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
     if jobs == 1 or len(pairs) == 1:
@@ -251,17 +257,19 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
           gold_timings, tau_ms, window_s, macro, output):
     """Score predicted SSML against gold SSML (MAE/RMSE, census, break F1,
     optional ARR over word timings)."""
+    _paired("--pred-breaks", pred_breaks, "--gold-breaks", gold_breaks)
+    _paired("--pred-timings", pred_timings, "--gold-timings", gold_timings)
     pred, gold = _read(pred_ssml, ssml.parse_corpus), _read(gold_ssml, ssml.parse_corpus)
     errors = metrics.attribute_errors(pred, gold, macro=macro)
 
     precision = recall = f1 = ppl = None
-    if pred_breaks and gold_breaks:
+    if pred_breaks is not None:
         bp, bg = _read(pred_breaks, _parse_breaks), _read(gold_breaks, _parse_breaks)
         precision, recall, f1 = metrics.break_f1(bp, bg)
         if bp.probabilities is not None:
             ppl = metrics.perplexity(metrics.true_label_probabilities(bp, bg))
     arr_score = None
-    if pred_timings and gold_timings:
+    if pred_timings is not None:
         arr_score = metrics.arr(_read(pred_timings, _parse_timings),
                                 _read(gold_timings, _parse_timings), tau_ms, window_s)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prosody import ProsodyDelta
+from .prosody import PairingError, ProsodyDelta
 from .ssml import (
     BreakElement,
     OpaqueElement,
@@ -28,10 +28,6 @@ from .ssml import (
 )
 
 INFINITE_PERPLEXITY = float("inf")
-
-
-class PairingError(ValueError):
-    """Predicted and gold inputs are not defined over the same sequence."""
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ def annotate_pair(
         records.append(delta_record(s.text, d, pair=pair.name, segment=k, start_ms=s.start_ms,
                                     end_ms=s.end_ms, word_count=s.word_count))
         groups.setdefault(k, []).append((s.text, d))
-    ssml_lines = [emit(groups[k], emit_options) for k in sorted(groups)]
+    ssml_lines = [emit(groups[k], emit_options, cfg) for k in sorted(groups)]
 
     n_flagged = sum(1 for d in deltas if d.flags)
     log_lines = [

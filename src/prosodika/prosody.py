@@ -32,7 +32,8 @@ FLAG_INJECTED_BREAK = "injected-break"
 
 
 class PairingError(ValueError):
-    """Natural and synthetic syntagm streams do not match."""
+    """Two inputs that must line up do not: natural and synthetic syntagms,
+    or predicted and gold segments, syntagms, break word counts or timings."""
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,16 @@ class PipelineConfig:
         if self.baseline_window < 1:
             raise ValueError("baseline_window must be >= 1")
 
+    def clip_ranges(self) -> dict[str, tuple[float, float]]:
+        """The (low, high) clip range of each emitted delta: pitch [-0.7*P, P]
+        in semitones, rate [-R, 0.5*R] and volume [-V, V] in percent."""
+        p, r, v = self.pitch_clip_semitones, self.rate_clip_pct, self.volume_clip_pct
+        return {"pitch": (-0.7 * p, p), "rate": (-r, 0.5 * r), "volume": (-v, v)}
+
     def pitch_bounds_pct(self) -> tuple[float, float]:
-        """Percent range implied by the semitone clip [-0.7*P, P]."""
-        p = self.pitch_clip_semitones
-        return (
-            (2.0 ** (-0.7 * p / 12.0) - 1.0) * 100.0,
-            (2.0 ** (p / 12.0) - 1.0) * 100.0,
-        )
+        """Percent range implied by the semitone pitch clip."""
+        lo, hi = self.clip_ranges()["pitch"]
+        return (2.0 ** (lo / 12.0) - 1.0) * 100.0, (2.0 ** (hi / 12.0) - 1.0) * 100.0
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
@@ -139,9 +143,8 @@ def pitch_delta(f0: float, f0_baseline: float, cfg: PipelineConfig) -> float:
     """Semitone offset against the baseline, clipped, as a percent change."""
     if f0 <= 0 or f0_baseline <= 0:
         raise ValueError(f"frequencies must be positive, got {f0}, {f0_baseline}")
-    p = cfg.pitch_clip_semitones
-    s = 12.0 * math.log2(f0 / f0_baseline)
-    s = min(max(s, -0.7 * p), p)
+    lo, hi = cfg.clip_ranges()["pitch"]
+    s = min(max(12.0 * math.log2(f0 / f0_baseline), lo), hi)
     return (2.0 ** (s / 12.0) - 1.0) * 100.0
 
 
@@ -150,8 +153,8 @@ def volume_delta(loudness_baseline: float, loudness_syn: float, cfg: PipelineCon
     if not (math.isfinite(loudness_baseline) and math.isfinite(loudness_syn)):
         raise ValueError("loudness values must be finite")
     dl = loudness_baseline - loudness_syn
-    v = (10.0 ** (dl / 20.0) - 1.0) * 100.0
-    return min(max(v, -cfg.volume_clip_pct), cfg.volume_clip_pct)
+    lo, hi = cfg.clip_ranges()["volume"]
+    return min(max((10.0 ** (dl / 20.0) - 1.0) * 100.0, lo), hi)
 
 
 def rate_delta(word_count: int, d_nat_s: float, d_syn_s: float, cfg: PipelineConfig) -> float:
@@ -173,7 +176,8 @@ def rate_delta(word_count: int, d_nat_s: float, d_syn_s: float, cfg: PipelineCon
         r *= cfg.slowdown_gain
     elif r > 0:
         r *= cfg.speedup_gain
-    return min(max(r, -cfg.rate_clip_pct), 0.5 * cfg.rate_clip_pct)
+    lo, hi = cfg.clip_ranges()["rate"]
+    return min(max(r, lo), hi)
 
 
 def smooth_series(values: list[float], cfg: PipelineConfig) -> list[float]:

@@ -6,7 +6,7 @@ breaks with millisecond times, the mstts:silence directives that suppress
 engine-inserted pauses, and text. Unknown elements are preserved as opaque
 nodes so third-party SSML can still be scored. speak/voice envelopes are
 unwrapped transparently; their language and voice attributes are kept on the
-document.
+document, and they alone decide the envelope that emit_document writes.
 
 Serialization is single-line and deterministic: percent attributes are signed
 with two decimals, break times are integer milliseconds, text whitespace is
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
@@ -41,6 +41,9 @@ MAX_DEPTH = 100
 # formatting quantization allowance on range checks: two-decimal rendering
 # may round a value by up to half a unit in the last place
 _QUANT_EPS = 0.005 + 1e-9
+
+# escape() entities for text and for double-quoted attribute values
+_QUOT = {'"': "&quot;"}
 
 
 class SsmlParseError(Exception):
@@ -131,9 +134,7 @@ class EmitOptions:
     azure_silence_wrap: bool = False
     full_document: bool = False
     suppress_neutral: bool = False
-    lang: str = DEFAULT_LANG
     voice: str = DEFAULT_VOICE
-    config: PipelineConfig = field(default_factory=PipelineConfig)
 
 
 def _quantize(value: float) -> float:
@@ -179,53 +180,45 @@ def build_segment_nodes(
     return tuple(nodes)
 
 
-def emit(syntagms: list[tuple[str, ProsodyDelta]], options: EmitOptions = EmitOptions()) -> str:
+def emit(syntagms: list[tuple[str, ProsodyDelta]], options: EmitOptions = EmitOptions(),
+         cfg: PipelineConfig = PipelineConfig()) -> str:
     """Serialize annotated syntagms to SSML markup.
 
-    Deltas outside the configured clip ranges make this refuse to emit with
+    Deltas outside the clip ranges of ``cfg`` make this refuse to emit with
     SsmlValidationError.
     """
-    nodes = build_segment_nodes(syntagms, options)
     doc = SsmlDocument(
-        segments=(nodes,),
-        lang=options.lang if options.full_document else None,
+        segments=(build_segment_nodes(syntagms, options),),
+        lang=DEFAULT_LANG if options.full_document else None,
         voice=options.voice if options.full_document else None,
     )
-    violations = validate(doc, options.config)
+    violations = validate(doc, cfg)
     if violations:
         raise SsmlValidationError(violations)
-    return _render_segment(nodes, options)
+    return emit_document(doc)
 
 
-def emit_document(doc: SsmlDocument, options: EmitOptions = EmitOptions()) -> str:
-    """Render a parsed document, one segment per line."""
-    opts = options
-    if doc.lang or doc.voice:
-        opts = EmitOptions(
-            azure_silence_wrap=options.azure_silence_wrap,
-            full_document=True,
-            suppress_neutral=options.suppress_neutral,
-            lang=doc.lang or options.lang,
-            voice=doc.voice or options.voice,
-            config=options.config,
-        )
-    return "\n".join(_render_segment(seg, opts) for seg in doc.segments)
+def emit_document(doc: SsmlDocument) -> str:
+    """Render a document, one segment per line. Each segment is wrapped in a
+    speak/voice envelope when the document has a language or a voice."""
+    return "\n".join(_render_segment(seg, doc.lang, doc.voice) for seg in doc.segments)
 
 
-def _render_segment(nodes: tuple[Node, ...], options: EmitOptions) -> str:
+def _render_segment(nodes: tuple[Node, ...], lang: str | None, voice: str | None) -> str:
     body = "".join(_render_node(n) for n in nodes)
-    if not options.full_document:
+    if lang is None and voice is None:
         return body
+    lang = escape(DEFAULT_LANG if lang is None else lang, _QUOT)
+    voice = escape(DEFAULT_VOICE if voice is None else voice, _QUOT)
     return (
         f'<speak version="1.0" xmlns="{SPEAK_XMLNS}" xmlns:mstts="{MSTTS_XMLNS}" '
-        f'xml:lang="{options.lang}">'
-        f'<voice name="{escape(options.voice, {chr(34): "&quot;"})}">{body}</voice></speak>'
+        f'xml:lang="{lang}"><voice name="{voice}">{body}</voice></speak>'
     )
 
 
 def _render_node(node: Node) -> str:
     if isinstance(node, TextNode):
-        return escape(node.content, {'"': "&quot;"})
+        return escape(node.content, _QUOT)
     if isinstance(node, BreakElement):
         return f'<break time="{node.time_ms}ms"/>'
     if isinstance(node, SilenceDirective):
@@ -420,17 +413,14 @@ def validate(doc: SsmlDocument, cfg: PipelineConfig = PipelineConfig()) -> list[
     clip bounds so two-decimal serialized values never flag falsely.
     """
     violations: list[Violation] = []
-    pitch_lo, pitch_hi = cfg.pitch_bounds_pct()
+    ranges = dict(cfg.clip_ranges(), pitch=cfg.pitch_bounds_pct())
 
     def check_prosody(node: ProsodyElement, path: str):
-        bounds = {
-            "pitch": (node.pitch_pct, pitch_lo, pitch_hi),
-            "rate": (node.rate_pct, -cfg.rate_clip_pct, 0.5 * cfg.rate_clip_pct),
-            "volume": (node.volume_pct, -cfg.volume_clip_pct, cfg.volume_clip_pct),
-        }
-        for name, (value, lo, hi) in bounds.items():
+        for name, value in (("pitch", node.pitch_pct), ("rate", node.rate_pct),
+                            ("volume", node.volume_pct)):
             if value is None:
                 continue
+            lo, hi = ranges[name]
             if not (lo - _QUANT_EPS <= value <= hi + _QUANT_EPS):
                 violations.append(
                     Violation(

@@ -534,6 +534,14 @@ def _score_option(option, value):
     return build
 
 
+def _score_unpaired(given, missing):
+    """score with one option of a pred/gold pair, naming a file that does not exist."""
+    def build(root):
+        doc = _ssml_doc(root)
+        return ["score", doc, doc, given, str(root / "no-such.json")], missing
+    return build
+
+
 def _deep_manifest(root):
     path = _write(root / "job.json", '{"output_dir": "out", "pairs": ' + DEEP_JSON)
     return ["annotate", path], path
@@ -611,6 +619,10 @@ CONTRACT_ROWS = [
     ("score-tau-negative", _score_option("--tau-ms", "-0.5"), 2),
     ("score-tau-nan", _score_option("--tau-ms", "nan"), 2),
     ("score-tau-inf", _score_option("--tau-ms", "inf"), 2),
+    ("score-pred-breaks-alone", _score_unpaired("--pred-breaks", "--gold-breaks"), 2),
+    ("score-gold-breaks-alone", _score_unpaired("--gold-breaks", "--pred-breaks"), 2),
+    ("score-pred-timings-alone", _score_unpaired("--pred-timings", "--gold-timings"), 2),
+    ("score-gold-timings-alone", _score_unpaired("--gold-timings", "--pred-timings"), 2),
     ("stats-deep-nesting", _stats(DEEP_JSON), 3),
     ("breaks-deep-nesting", _score_side("breaks", DEEP_JSON), 3),
     ("timings-deep-nesting", _score_side("timings", DEEP_JSON), 3),

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+import prosodika
 from prosodika.metrics import (
     BreakPrediction,
     MetricsReport,
@@ -250,6 +251,12 @@ class TestAttributeErrors:
         pred = parse_corpus(emit([("a", delta())]) + "\n" + emit([("b", delta())]))
         gold = parse_corpus(emit([("a", delta())]))
         with pytest.raises(PairingError):
+            attribute_errors(pred, gold)
+
+    def test_mismatch_is_the_package_pairing_error(self):
+        pred = parse_corpus(emit([("a", delta())]) + "\n" + emit([("b", delta())]))
+        gold = parse_corpus(emit([("a", delta())]))
+        with pytest.raises(prosodika.PairingError):
             attribute_errors(pred, gold)
 
     def test_macro_vs_micro(self):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +217,18 @@ class TestMeasureFeatures:
         (features,) = measure_features(buf, track, [span])
         assert features.loudness_lufs is None
         assert features.median_f0_hz is None
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    """The README's library example runs, and its SSML follows the manifest's
+    config: +3 dB of natural loudness is clipped at the widened +20 %."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+    manifest = build_e2e_corpus(tmp_path, n_syntagms=2)
+    data = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(dict(data, config={"volume_clip_pct": 20})))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert 'volume="+20.00%"' in first
+    assert first.startswith('<mstts:silence type="leading-exact" value="0"/><prosody ')

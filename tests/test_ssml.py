@@ -192,11 +192,14 @@ class TestParseCorpus:
         assert len(doc.segments) == 2
 
     def test_emit_document_round_trip(self):
-        doc = parse_corpus(
-            emit([("un", delta(break_ms=100))]) + "\n" + emit([("deux", delta())])
-        )
-        text = emit_document(doc)
-        assert parse_corpus(text) == doc
+        for corpus in (
+            emit([("un", delta(break_ms=100))]) + "\n" + emit([("deux", delta())]),
+            # the envelope's attributes are escaped like text
+            "<speak xml:lang='fr\"x'><voice name='a\"b'>mot</voice></speak>",
+        ):
+            doc = parse_corpus(corpus)
+            text = emit_document(doc)
+            assert parse_corpus(text) == doc
 
 
 class TestValidate:
