@@ -23,14 +23,12 @@ from .metrics import (
     ErrorStats,
     MetricsReport,
     TagCensus,
-    WerResult,
     arr,
     attribute_errors,
     break_f1,
     corpus_stats,
     perplexity,
     tag_census,
-    wer,
 )
 from .pitch import F0Track, estimate_f0_track, median_f0
 from .prosody import (

@@ -375,7 +375,7 @@ def validate_ssml(ssml_files, config):
     for path in ssml_files:
         try:
             doc = _read(path, ssml.parse_corpus)
-        except ValueError as exc:  # reported per file; the other files are still checked
+        except (OSError, ValueError) as exc:  # reported per file; the rest are still checked
             click.echo(f"error: {exc}", err=True)
             code = max(code, _classify(exc))
             continue

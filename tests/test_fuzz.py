@@ -136,6 +136,7 @@ def test_deep_nesting_is_a_parse_error(depth, tags):
     except ssml.SsmlParseError as exc:
         assert depth > ssml.MAX_DEPTH
         assert "nested more than" in str(exc)
+        assert exc.line == 1
         # at the first element too deep
         assert exc.offset == len("mot ") + sum(len(f"<{t}>") for t in opened[:ssml.MAX_DEPTH])
         return

@@ -1,6 +1,4 @@
-import itertools
 import math
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +8,6 @@ from prosodika.metrics import (
     BreakPrediction,
     MetricsReport,
     PairingError,
-    WerResult,
     arr,
     attribute_errors,
     break_f1,
@@ -20,7 +17,6 @@ from prosodika.metrics import (
     summarize,
     tag_census,
     true_label_probabilities,
-    wer,
 )
 from prosodika.prosody import ProsodyDelta
 from prosodika.ssml import EmitOptions, emit, parse, parse_corpus
@@ -97,65 +93,6 @@ class TestPerplexity:
         pred = bp(3, {1}, probabilities=[0.2, 0.9, 0.4])
         gold = bp(3, {1, 2})
         assert true_label_probabilities(pred, gold) == [0.8, 0.9, 0.4]
-
-
-@lru_cache(maxsize=None)
-def _lev(a: tuple, b: tuple) -> int:
-    # textbook recurrence, memoized: the brute-force oracle
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    return min(
-        _lev(a[1:], b[1:]) + (a[0] != b[0]),
-        _lev(a[1:], b) + 1,
-        _lev(a, b[1:]) + 1,
-    )
-
-
-class TestWer:
-    def test_identity(self):
-        res = wer(["le", "chat", "dort"], ["le", "chat", "dort"])
-        assert (res.wer, res.substitutions, res.deletions, res.insertions) == (0, 0, 0, 0)
-
-    def test_single_substitution(self):
-        res = wer(["le", "chat", "dort"], ["le", "chien", "dort"])
-        assert res.wer == pytest.approx(1 / 3)
-        assert (res.substitutions, res.deletions, res.insertions) == (1, 0, 0)
-
-    def test_all_deletions(self):
-        res = wer(["le", "chat", "dort"], [])
-        assert res.wer == 1.0
-        assert (res.substitutions, res.deletions, res.insertions) == (0, 3, 0)
-
-    def test_insertions(self):
-        res = wer(["chat"], ["le", "chat", "gris"])
-        assert (res.substitutions, res.deletions, res.insertions) == (0, 0, 2)
-        assert res.wer == 2.0
-
-    def test_substitution_preferred_on_ties(self):
-        res = wer(["a"], ["b"])
-        assert (res.substitutions, res.deletions, res.insertions) == (1, 0, 0)
-
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
-            wer([], ["a"])
-
-    def test_matches_oracle_small_exhaustive(self):
-        vocab = ("a", "b", "c")
-        seqs = [
-            s
-            for n in range(0, 5)
-            for s in itertools.product(vocab, repeat=n)
-        ]
-        for ref in seqs:
-            if not ref:
-                continue
-            for hyp in seqs:
-                res = wer(list(ref), list(hyp))
-                dist = _lev(ref, hyp)
-                assert res.substitutions + res.deletions + res.insertions == dist
-                assert res.wer == pytest.approx(dist / len(ref))
 
 
 class TestArr:
@@ -372,15 +309,13 @@ class TestMetricsReport:
         report = self.build(
             break_precision=0.5, break_recall=1.0, break_f1_score=2 * 0.5 / 1.5,
             break_perplexity=1.2,
-            wer_result=WerResult(0.25, 1, 0, 0),
             arr_score=0.9,
         )
         payload = report.to_dict()
         assert payload["break_prediction"]["f1"] == pytest.approx(2 / 3)
-        assert payload["wer"]["substitutions"] == 1
         assert payload["arr"] == 0.9
         text = report.table()
-        assert "break F1" in text and "WER" in text and "ARR" in text
+        assert "break F1" in text and "ARR" in text
 
     def test_f1_consistency(self):
         p, r = 0.5, 1.0

@@ -107,11 +107,18 @@ class TestParse:
         assert err.value.offset == 0
 
     def test_error_survives_pickling(self):
-        with pytest.raises(SsmlParseError) as err:
-            parse('mot <prosody pitch="high">mot</prosody>')
-        copy = pickle.loads(pickle.dumps(err.value))
-        assert (copy.offset, str(copy)) == (err.value.offset, str(err.value))
-        assert str(copy).startswith("offset 4: ")
+        bad = 'mot <prosody pitch="high">mot</prosody>'
+        for parser, text, where in (
+            (parse, bad, "offset 4"),
+            # a corpus error counts lines from 1, blank ones included
+            (parse_corpus, f'<break time="1ms"/>\n\n{bad}', "line 3, offset 4"),
+        ):
+            with pytest.raises(SsmlParseError) as err:
+                parser(text)
+            copy = pickle.loads(pickle.dumps(err.value))
+            assert (copy.line, copy.offset, str(copy)) == (
+                err.value.line, err.value.offset, str(err.value))
+            assert str(copy) == f"{where}: non-numeric pitch value 'high'"
 
     def test_missing_percent_suffix(self):
         with pytest.raises(SsmlParseError) as err:
@@ -196,6 +203,9 @@ class TestParseCorpus:
             emit([("un", delta(break_ms=100))]) + "\n" + emit([("deux", delta())]),
             # the envelope's attributes are escaped like text
             "<speak xml:lang='fr\"x'><voice name='a\"b'>mot</voice></speak>",
+            # only the attributes the document has are written back
+            '<speak xml:lang="fr">mot</speak>',
+            '<voice name="x">mot</voice>',
         ):
             doc = parse_corpus(corpus)
             text = emit_document(doc)
