@@ -26,7 +26,6 @@ from .metrics import (
     arr,
     attribute_errors,
     break_f1,
-    corpus_stats,
     perplexity,
     tag_census,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import metrics, pipeline, ssml
 from .audio import AudioError, UnreadableFileError, detect_speech_segments
@@ -30,13 +32,12 @@ from .prosody import (
     FLAG_INJECTED_BREAK,
     PairingError,
     PipelineConfig,
-    ProsodyDelta,
     json_number,
     load_json,
     read_delta_records,
 )
 from .syntagms import FunctionWordLexicon
-from .textgrid import TextGridParseError
+from .textgrid import TextGridParseError, split_lines
 
 EXIT_OK = 0
 EXIT_BUG = 1  # an exception outside INPUT_ERRORS, as an uncaught one exits
@@ -75,7 +76,7 @@ def _read(path: str, parse):
 def _parse_config(text: str) -> dict:
     """Parse the key = value config format (# starts a comment)."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -188,17 +189,21 @@ def _annotate_one(args):
               help="Wrap each segment in a complete speak envelope.")
 @click.option("--suppress-neutral", is_flag=True,
               help="Drop markup for all-zero deltas and zero breaks.")
-@click.option("--voice", default=ssml.DEFAULT_VOICE, show_default=True)
+@click.option("--voice", default=ssml.DEFAULT_VOICE, show_default=True,
+              help="Voice of the speak envelope; needs --full-document.")
 @click.option("--jobs", default=None, type=click.IntRange(min=1),
-              help="Parallel workers; defaults to the processor count.")
+              help="Parallel workers, at most one per pair; defaults to the processor count.")
 def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
              suppress_neutral, voice, jobs):
     """Annotate every pair in a job manifest: deltas, SSML, and a run log."""
+    if not full_document and (click.get_current_context().get_parameter_source("voice")
+                              is not ParameterSource.DEFAULT):
+        raise click.BadParameter("given without --full-document", param_hint="'--voice'")
     pairs, manifest_overrides = pipeline.load_manifest(manifest)
     if not pairs:
         _fail(EXIT_EMPTY, "manifest contains no pairs")
     cfg = build_config(config, manifest_overrides)
-    words = (FunctionWordLexicon(_read(lexicon, str.splitlines)) if lexicon
+    words = (FunctionWordLexicon(_read(lexicon, split_lines)) if lexicon
              else FunctionWordLexicon.default())
     emit_options = ssml.EmitOptions(
         azure_silence_wrap=azure_silence_wrap,
@@ -207,14 +212,15 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         voice=voice,
     )
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
-    if jobs == 1 or len(pairs) == 1:
+    workers = min(jobs or os.cpu_count() or 1, len(pairs))  # a fork-started pool starts them all
+    if workers == 1:
         outcomes = [_annotate_one(task) for task in tasks]
     else:
         # imported once here, so that every fork-started worker inherits it
         import scipy.signal  # noqa: F401
 
         outcomes = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for fut in [pool.submit(_annotate_one, t) for t in tasks]:
                 try:
                     outcomes.append(fut.result())
@@ -305,23 +311,12 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
     records = [rec for path in delta_files for rec in _read(path, read_delta_records)]
     if not records:
         _fail(EXIT_EMPTY, "no delta records given")
-    deltas = [
-        ProsodyDelta(
-            pitch_pct=float(r["pitch_pct"]),
-            rate_pct=float(r["rate_pct"]),
-            volume_pct=float(r["volume_pct"]),
-            break_ms=r["break_ms"],
-            flags=tuple(r.get("flags", ())),
-        )
-        for r in records
-    ]
-    summaries = metrics.corpus_stats(deltas)
-    if exclude_injected_breaks:
-        kept = [d.break_ms for d in deltas if FLAG_INJECTED_BREAK not in d.flags]
-        if kept:
-            summaries["break_ms"] = metrics.summarize([float(b) for b in kept])
-        else:
-            del summaries["break_ms"]
+    summaries = {key: metrics.summarize([float(r[key]) for r in records])
+                 for key in ("pitch_pct", "rate_pct", "volume_pct")}
+    breaks = [float(r["break_ms"]) for r in records
+              if not (exclude_injected_breaks and FLAG_INJECTED_BREAK in r.get("flags", ()))]
+    if breaks:  # empty only when every break is injected and excluded
+        summaries["break_ms"] = metrics.summarize(breaks)
     totals = {  # read_delta_records has checked the type of every key used here
         "speakers": len({r["pair"] for r in records if "pair" in r}),
         "total_words": sum(r.get("word_count", len(r.get("text", "").split())) for r in records),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prosody import PairingError, ProsodyDelta
+from .prosody import PairingError
 from .ssml import (
     BreakElement,
     OpaqueElement,
@@ -209,44 +209,34 @@ def attribute_errors(
         raise PairingError(
             f"segment counts differ: {len(pred_segs)} vs {len(gold_segs)}"
         )
-    per_attr: dict[str, list[list[float]]] = {
-        "pitch_pct": [],
-        "volume_pct": [],
-        "rate_pct": [],
-        "break_ms": [],
-    }
+    # one (pitch, volume, rate, break) difference tuple per syntagm, per segment
+    per_segment: list[list[tuple[float, float, float, float]]] = []
     for si, (ps, gs) in enumerate(zip(pred_segs, gold_segs)):
         if len(ps) != len(gs):
             raise PairingError(
                 f"segment {si}: syntagm counts differ: {len(ps)} vs {len(gs)}"
             )
-        seg_diffs = {key: [] for key in per_attr}
+        diffs = []
         for qi, (p, g) in enumerate(zip(ps, gs)):
             if p.text != g.text:
                 raise PairingError(
                     f"segment {si}, syntagm {qi}: text diverges: {p.text!r} vs {g.text!r}"
                 )
-            seg_diffs["pitch_pct"].append(p.pitch_pct - g.pitch_pct)
-            seg_diffs["volume_pct"].append(p.volume_pct - g.volume_pct)
-            seg_diffs["rate_pct"].append(p.rate_pct - g.rate_pct)
-            seg_diffs["break_ms"].append(float((p.break_ms or 0) - (g.break_ms or 0)))
-        for key in per_attr:
-            per_attr[key].append(seg_diffs[key])
+            diffs.append((p.pitch_pct - g.pitch_pct, p.volume_pct - g.volume_pct,
+                          p.rate_pct - g.rate_pct,
+                          float((p.break_ms or 0) - (g.break_ms or 0))))
+        per_segment.append(diffs)
 
     out: dict[str, ErrorStats] = {}
-    for key, per_segment in per_attr.items():
+    for i, key in enumerate(("pitch_pct", "volume_pct", "rate_pct", "break_ms")):
         if macro:
-            stats = [_error_stats(seg) for seg in per_segment if seg]
-            if not stats:
-                out[key] = ErrorStats(0.0, 0.0, 0)
-            else:
-                out[key] = ErrorStats(
-                    mae=sum(s.mae for s in stats) / len(stats),
-                    rmse=sum(s.rmse for s in stats) / len(stats),
-                    count=sum(s.count for s in stats),
-                )
+            stats = [_error_stats([d[i] for d in seg]) for seg in per_segment if seg]
+            n = len(stats) or 1  # no syntagm anywhere: 0.0 errors over 0, as micro gives
+            out[key] = ErrorStats(mae=sum(s.mae for s in stats) / n,
+                                  rmse=sum(s.rmse for s in stats) / n,
+                                  count=sum(s.count for s in stats))
         else:
-            out[key] = _error_stats([d for seg in per_segment for d in seg])
+            out[key] = _error_stats([d[i] for seg in per_segment for d in seg])
     return out
 
 
@@ -405,18 +395,6 @@ def summarize(values: list[float], n_bins: int = 20) -> DistributionSummary:
         maximum=hi,
         bins=bins,
     )
-
-
-def corpus_stats(deltas: list[ProsodyDelta], n_bins: int = 20) -> dict[str, DistributionSummary]:
-    """Distribution summaries for the four delta attributes."""
-    if not deltas:
-        raise ValueError("cannot summarize an empty corpus")
-    return {
-        "pitch_pct": summarize([d.pitch_pct for d in deltas], n_bins),
-        "rate_pct": summarize([d.rate_pct for d in deltas], n_bins),
-        "volume_pct": summarize([d.volume_pct for d in deltas], n_bins),
-        "break_ms": summarize([float(d.break_ms) for d in deltas], n_bins),
-    }
 
 
 def histogram_csv(summaries: dict[str, DistributionSummary]) -> str:

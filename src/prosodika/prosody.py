@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .syntagms import Syntagm
+from .textgrid import split_lines
 
 FLAG_NO_PITCH = "no-pitch"
 FLAG_NO_LOUDNESS = "no-loudness"
@@ -80,11 +81,14 @@ class PipelineConfig:
         for key, value in mapping.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            try:
-                number = int(value) if key == "baseline_window" else float(value)
-                kwargs[key] = json_number(number, key)  # NaN would pass every range check
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{key!r} needs a finite number, got {value!r:.40}") from None
+            integer = known[key] == "int"
+            if isinstance(value, str):  # the config file's syntax; a manifest holds JSON values
+                try:
+                    value = int(value) if integer else float(value)
+                except ValueError:
+                    raise ValueError(f"{key!r} needs a finite number, got {value!r:.40}") from None
+            number = json_number(value, key, integer=integer)  # NaN would pass every range check
+            kwargs[key] = number if integer else float(number)  # the run log echoes 12 as 12.0
         return cls(**kwargs)
 
 
@@ -320,7 +324,7 @@ def read_delta_records(text: str) -> list[dict]:
     """Parse the JSONL that deltas_to_jsonl writes, checking the type of each
     key that stats reads. ValueError names the line and the key."""
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -24,6 +24,7 @@ from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from .prosody import PipelineConfig, ProsodyDelta
+from .textgrid import split_lines
 
 DEFAULT_LANG = "fr-FR"
 DEFAULT_VOICE = "fr-FR-HenriNeural"
@@ -402,7 +403,7 @@ def parse_corpus(text: str) -> SsmlDocument:
     lines."""
     segments: list[tuple[Node, ...]] = []
     lang = voice = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:

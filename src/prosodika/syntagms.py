@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .textgrid import TextGridTier
+from .textgrid import TextGridTier, split_lines
 
 WORD = "word"
 PAUSE = "pause"
@@ -109,7 +109,7 @@ class FunctionWordLexicon:
         text = resources.files("prosodika.data").joinpath("function_words_fr.txt").read_text(
             encoding="utf-8"
         )
-        return cls(text.splitlines())
+        return cls(split_lines(text))
 
 
 def tokens_from_tier(tier: TextGridTier) -> list[Token]:

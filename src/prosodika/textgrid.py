@@ -9,10 +9,17 @@ read it.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+
+def split_lines(text: str) -> list[str]:
+    """``text.splitlines()``, but breaking only at \\n, \\r\\n or \\r: form
+    feed, U+0085, U+2028 and the like stay inside their line."""
+    return [line.rstrip("\r\n") for line in io.StringIO(text, newline="").readlines()]
 
 
 class TextGridParseError(Exception):
@@ -45,7 +52,7 @@ class _Cursor:
     """Line cursor shared by the long- and short-format branches."""
 
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = split_lines(text)
         self.pos = 0
 
     @property

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 from prosodika import cli, pipeline
 from prosodika.cli import main
-from prosodika.prosody import ProsodyDelta
+from prosodika.prosody import ProsodyDelta, delta_record, deltas_to_jsonl
 from prosodika.ssml import EmitOptions, emit
 
 from conftest import (
@@ -413,6 +414,26 @@ class TestStats:
         dist = json.loads(out.read_text())["distributions"]["break_ms"]
         assert dist["max"] == 350.0  # the injected 500 ms pause is excluded
 
+        # every break injected: no break distribution at all
+        p.write_text(json.dumps(rows[1]), encoding="utf-8")
+        csv = tmp_path / "h.csv"
+        result = runner.invoke(main, ["stats", str(p), "-o", str(out), "--histogram-csv",
+                                      str(csv), "--exclude-injected-breaks"])
+        assert result.exit_code == 0, result.output
+        assert set(json.loads(out.read_text())["distributions"]) == {
+            "pitch_pct", "rate_pct", "volume_pct"}
+        assert "break_ms" not in csv.read_text()
+
+    def test_text_with_line_separator(self, runner, tmp_path):
+        # only \n, \r\n and \r end a record: json.dumps keeps U+2028 as it is
+        rec = delta_record("a\u2028b", ProsodyDelta(1.0, 2.0, 3.0, 250))
+        p = tmp_path / "d.jsonl"
+        p.write_text(deltas_to_jsonl([rec]), encoding="utf-8")
+        out = tmp_path / "s.json"
+        result = runner.invoke(main, ["stats", str(p), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["totals"]["total_characters"] == 3
+
 
 class TestCensusAndValidate:
     def test_census(self, runner, annotated):
@@ -457,6 +478,14 @@ class TestCensusAndValidate:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("volume_clip_pct = 15\n", encoding="utf-8")
         assert runner.invoke(main, ["validate-ssml", str(p)]).exit_code == 3
+        result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+
+    def test_config_comment_holding_line_separator(self, runner, tmp_path):
+        p = tmp_path / "wide.ssml"
+        p.write_text('<prosody volume="+12.00%">mot</prosody>\n', encoding="utf-8")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("volume_clip_pct = 15  # a\u2028b\n", encoding="utf-8")
         result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
         assert result.exit_code == 0, result.output
 
@@ -521,12 +550,19 @@ def _manifest(pairs, corpus=False):
     return build
 
 
-def _manifest_config(config):
+def _manifest_config(config, named=None):
+    """annotate with manifest config overrides; the error names ``named``, or else
+    the manifest."""
     def build(root):
         data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
         path = _write(root / "job.json", json.dumps(dict(data, config=config)))
-        return ["annotate", path, "--jobs", "1"], path
+        return ["annotate", path, "--jobs", "1"], named or path
     return build
+
+
+def _voice_alone(root):
+    return ["annotate", str(build_e2e_corpus(root, n_syntagms=2)), "--voice", "x"], \
+        "--full-document"
 
 
 def _missing_manifest(root):
@@ -628,6 +664,11 @@ CONTRACT_ROWS = [
     ("annotate-path-not-string", _manifest([{"natural_wav": 5}], corpus=True), 3),
     ("annotate-config-value-null", _manifest_config({"volume_clip_pct": None}), 3),
     ("annotate-config-value-nan", _manifest_config({"volume_clip_pct": "nan"}), 3),
+    ("annotate-config-int-given-float", _manifest_config({"baseline_window": 2.7},
+                                                         "baseline_window"), 3),
+    ("annotate-config-value-bool", _manifest_config({"smoothing_alpha": True},
+                                                    "smoothing_alpha"), 3),
+    ("annotate-voice-without-full-document", _voice_alone, 2),
     ("segment-odd-data-chunk", _wav(np.array([1000, -1000], "<i2").tobytes() + b"\x01"), 0),
     ("segment-rate-zero", _wav(b"\x00\x00" * 16, rate=0), 3),
     ("segment-empty-data", _wav(b""), 3),
@@ -708,6 +749,20 @@ class TestPairOutcomes:
         assert "bad: FAILED (Traceback (most recent call last):" in result.output
         assert "ZeroDivisionError: boom" in result.output
         assert "good: 2 syntagms in " in result.output
+
+    def test_pool_has_at_most_one_worker_per_pair(self, runner, tmp_path, monkeypatch):
+        sizes = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Spy)
+        result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["a", "b"]),
+                                      "--jobs", "8"])
+        assert result.exit_code == 0, result.output
+        assert sizes == [2]
 
     def test_killed_worker_fails_its_pairs(self, runner, tmp_path, monkeypatch):
         if multiprocessing.get_start_method() != "fork":

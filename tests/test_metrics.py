@@ -11,7 +11,6 @@ from prosodika.metrics import (
     arr,
     attribute_errors,
     break_f1,
-    corpus_stats,
     document_syntagms,
     perplexity,
     summarize,
@@ -265,13 +264,12 @@ class TestTagCensus:
 
 class TestCorpusStats:
     def test_single_delta_degenerate(self):
-        stats = corpus_stats([delta(1.0, 2.0, 3.0, 100)])
-        for summary in stats.values():
+        for value in (1.0, 2.0, 3.0, 100.0):
+            summary = summarize([value])
             assert summary.minimum == summary.q1 == summary.median == summary.q3 == summary.maximum
 
     def test_break_quartiles_frozen(self):
-        deltas = [delta(break_ms=250), delta(break_ms=400), delta(break_ms=500)]
-        summary = corpus_stats(deltas)["break_ms"]
+        summary = summarize([250.0, 400.0, 500.0])
         assert summary.median == 400.0
         assert summary.q1 == 250.0
         assert summary.q3 == 500.0
@@ -286,7 +284,7 @@ class TestCorpusStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            corpus_stats([])
+            summarize([])
 
 
 class TestMetricsReport:

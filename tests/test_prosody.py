@@ -324,7 +324,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_mapping({"nope": 1})
 
-    @pytest.mark.parametrize("value", [None, [1], "abc", "nan", "inf", 1e400])
+    @pytest.mark.parametrize("value", [None, [1], "abc", "nan", "inf", 1e400, True])
     def test_bad_value_names_key(self, value):
         with pytest.raises(ValueError, match="volume_clip_pct"):
             PipelineConfig.from_mapping({"volume_clip_pct": value})

@@ -211,6 +211,17 @@ class TestParseCorpus:
             text = emit_document(doc)
             assert parse_corpus(text) == doc
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85"])
+    def test_only_newlines_break_lines(self, sep):
+        doc = parse_corpus(f'<break time="1ms"/>mot{sep}deux<break time="2ms"/>\r\nmot\r')
+        assert doc.segments[0] == (BreakElement(1), TextNode("mot deux"), BreakElement(2))
+        assert len(doc.segments) == 2
+
+    def test_form_feed_stays_in_its_line(self):
+        # XML forbids the character, so the line is malformed rather than split in two
+        with pytest.raises(SsmlParseError, match="line 1, offset 22"):
+            parse_corpus('<break time="1ms"/>mot\x0cdeux<break time="2ms"/>')
+
 
 class TestValidate:
     def test_emitter_output_clean(self):

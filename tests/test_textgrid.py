@@ -137,3 +137,9 @@ class TestEncodings:
         p.write_bytes(b"\xef\xbb\xbf" + long_textgrid([(0.0, 1.0, "ete")]).encode("utf-8"))
         tiers = read_textgrid(p)
         assert tiers[0].intervals[0].label == "ete"
+
+    @pytest.mark.parametrize("label", ["a\u2028b", "a\x85b", "a\x0cb", "a\x1eb", "\u2028"])
+    def test_only_newlines_break_lines(self, tmp_path, label):
+        p = tmp_path / "g.TextGrid"
+        p.write_text(long_textgrid([(0.0, 1.0, label)]), encoding="utf-8")
+        assert read_textgrid(p)[0].intervals[0].label == label
