@@ -177,6 +177,14 @@ def _annotate_one(args):
     return result
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the processor count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @main.command()
 @click.argument("manifest", type=click.Path())
 @click.option("--config", envvar="PROSODIKA_CONFIG", type=click.Path(), default=None,
@@ -192,7 +200,8 @@ def _annotate_one(args):
 @click.option("--voice", default=ssml.DEFAULT_VOICE, show_default=True,
               help="Voice of the speak envelope; needs --full-document.")
 @click.option("--jobs", default=None, type=click.IntRange(min=1),
-              help="Parallel workers, at most one per pair; defaults to the processor count.")
+              help="Parallel workers, at most one per pair; defaults to the CPUs this "
+                   "process may run on.")
 def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
              suppress_neutral, voice, jobs):
     """Annotate every pair in a job manifest: deltas, SSML, and a run log."""
@@ -212,7 +221,7 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         voice=voice,
     )
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
-    workers = min(jobs or os.cpu_count() or 1, len(pairs))  # a fork-started pool starts them all
+    workers = min(jobs or _usable_cpus(), len(pairs))  # a fork-started pool starts them all
     if workers == 1:
         outcomes = [_annotate_one(task) for task in tasks]
     else:

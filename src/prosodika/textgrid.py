@@ -52,7 +52,9 @@ class _Cursor:
     """Line cursor shared by the long- and short-format branches."""
 
     def __init__(self, text: str):
-        self.lines = split_lines(text)
+        # each line keeps its own terminator, which read_string copies into a
+        # label that spans lines
+        self.lines = io.StringIO(text, newline="").readlines()
         self.pos = 0
 
     @property
@@ -98,10 +100,9 @@ class _Cursor:
                     return "".join(parts)
                 parts.append(chunk[i])
                 i += 1
-            # quote closes on a later line: keep the newline verbatim
+            # quote closes on a later line: the line break is already in parts
             if self.pos >= len(self.lines):
                 raise TextGridParseError(f"unterminated string for {context}", lineno)
-            parts.append("\n")
             chunk = self.lines[self.pos]
             self.pos += 1
 

@@ -170,6 +170,26 @@ class TestAnnotate:
             assert (tmp_path / "out" / f"pair00{suffix}").exists()
         assert not (tmp_path / "out" / "bad.ssml").exists()
 
+    def test_jobs_default_to_the_cpus_the_process_may_run_on(self, runner, tmp_path,
+                                                             monkeypatch):
+        manifest, _ = two_pairs_one_bad_grid(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # one CPU: no pool
+        result = runner.invoke(main, ["annotate", str(manifest)])
+        assert result.exit_code == 3, result.output
+        assert "pair00: 5 syntagms" in result.output
+
+    @pytest.mark.parametrize("affinity, count, expected",
+                             [({0, 3}, 8, 2), (None, 8, 8), (None, None, 1)])
+    def test_usable_cpus(self, monkeypatch, affinity, count, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        if affinity is None:  # a platform without affinity masks
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert cli._usable_cpus() == expected
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failures_name_the_file_at_fault(self, runner, tmp_path, jobs):
         manifest, line = two_pairs_one_bad_grid(tmp_path)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from prosodika.audio import AudioBuffer, SegmentBounds
-from prosodika.pitch import FMAX, FMIN, F0Track, estimate_f0_track, median_f0
+from prosodika.pitch import (
+    _BATCH_FRAMES,
+    _ENERGY_GROUP,
+    FMAX,
+    FMIN,
+    F0Track,
+    estimate_f0_track,
+    median_f0,
+)
 
 from conftest import NAT_DBFS, NAT_F0, NAT_PAUSE_MS, NAT_WORD_S, build_voice_track, tone
 
@@ -114,8 +122,9 @@ def _reference_pick(row, lag_min, lag_max, sample_rate, fmin, fmax, threshold):
     return float(min(max(f0, fmin), fmax))
 
 
-def reference_track(buf, frame_ms=40, hop_ms=10, fmin=60, fmax=400, threshold=0.15):
-    """(times_ms, f0 or None) per frame."""
+def reference_track(buf, frame_ms=40, hop_ms=10, fmin=60, fmax=400, threshold=0.15,
+                    indices=None):
+    """(times_ms, f0 or None) per frame, or per frame of ``indices``."""
     sr = buf.sample_rate
     frame_len = int(round(sr * frame_ms / 1000.0))
     hop = int(round(sr * hop_ms / 1000.0))
@@ -124,7 +133,7 @@ def reference_track(buf, frame_ms=40, hop_ms=10, fmin=60, fmax=400, threshold=0.
     lag_min = max(2, int(sr // fmax))
     n_frames = max(0, (len(buf.samples) - frame_len) // hop + 1)
     times, f0s = [], []
-    for i in range(n_frames):
+    for i in range(n_frames) if indices is None else indices:
         frame = buf.samples[i * hop : i * hop + frame_len][None, :]
         row = _reference_cmndf(frame, w, lag_max)[0]
         times.append((i * hop + frame_len / 2.0) * 1000.0 / sr)
@@ -132,9 +141,8 @@ def reference_track(buf, frame_ms=40, hop_ms=10, fmin=60, fmax=400, threshold=0.
     return times, f0s
 
 
-def _chirp(noise, seed):
-    sr = 16000
-    t = np.arange(3 * sr) / sr
+def _chirp(noise, seed, sr=16000, n_samples=None):
+    t = np.arange(3 * sr if n_samples is None else n_samples) / sr
     rng = np.random.default_rng(seed)
     sig = 0.6 * np.sin(2 * np.pi * (80 * t + 50 * t * t)) + rng.normal(0, noise, len(t))
     return sig.clip(-1, 1)
@@ -152,19 +160,52 @@ SIGNALS = {
 }
 
 
+def assert_matches_reference(buf, indices=None):
+    """Same frame times and voicing as the reference, f0 within 1e-9 Hz, on
+    every frame or on the frames of ``indices``."""
+    times, ref = reference_track(buf, indices=indices)
+    frames = estimate_f0_track(buf).frames
+    if indices is None:
+        assert len(frames) == len(times)
+    else:
+        frames = frames[indices]
+    assert np.array_equal(frames["time_ms"], np.array(times))
+    ref_voiced = np.array([f is not None for f in ref])
+    f0 = frames["f0_hz"]
+    assert np.array_equal(~np.isnan(f0), ref_voiced)
+    ref_f0 = np.array([f for f in ref if f is not None])
+    assert np.all(np.abs(f0[ref_voiced] - ref_f0) <= 1e-9)
+
+
 class TestMatchesScalarReference:
     @pytest.mark.parametrize("name", sorted(SIGNALS))
     def test_same_frames_voicing_and_f0(self, name):
-        buf = AudioBuffer(SIGNALS[name](), 16000)
-        times, ref = reference_track(buf)
-        track = estimate_f0_track(buf)
-        assert len(track.frames) == len(times)
-        assert np.array_equal(track.frames["time_ms"], np.array(times))
-        ref_voiced = np.array([f is not None for f in ref])
-        f0 = track.frames["f0_hz"]
-        assert np.array_equal(~np.isnan(f0), ref_voiced)
-        ref_f0 = np.array([f for f in ref if f is not None])
-        assert np.all(np.abs(f0[ref_voiced] - ref_f0) <= 1e-9)
+        assert_matches_reference(AudioBuffer(SIGNALS[name](), 16000))
+
+    # 11025 Hz gives an odd frame_len (441)
+    @pytest.mark.parametrize("sr", [8000, 11025, 22050, 44100])
+    def test_other_sample_rates(self, sr):
+        assert_matches_reference(AudioBuffer(_chirp(0.05, 5, sr), sr))
+
+    # one frame; part of an energy group; one frame past a whole batch
+    @pytest.mark.parametrize("n_frames", [1, _ENERGY_GROUP + 13, _BATCH_FRAMES + 1])
+    def test_partial_groups_and_batches(self, n_frames):
+        buf = AudioBuffer(_chirp(0.1, 6, n_samples=640 + (n_frames - 1) * 160), 16000)
+        assert len(estimate_f0_track(buf).frames) == n_frames
+        assert_matches_reference(buf)
+
+    def test_no_drift_at_batch_ends_of_a_long_loud_signal(self):
+        # 10 minutes near full scale, quiet every other second, so a running
+        # sum of squares that never restarted would carry a large total into
+        # the quiet frames; the last frames of each batch are checked
+        sr, seconds = 16000, 600
+        t = np.arange(seconds * sr) / sr
+        loud = np.where(np.floor(t) % 2 == 0, 0.95, 0.01)
+        sig = loud * np.sin(2 * np.pi * (80 * t + 0.25 * t * t))
+        n_frames = (len(sig) - 640) // 160 + 1
+        ends = [end - k for end in range(_BATCH_FRAMES, n_frames, _BATCH_FRAMES)
+                for k in range(1, 5)]
+        assert_matches_reference(AudioBuffer(sig, sr), indices=ends)
 
     def test_mixed_voicing_is_exercised(self):
         _, ref = reference_track(AudioBuffer(SIGNALS["chirp-half-voiced"](), 16000))

@@ -143,3 +143,11 @@ class TestEncodings:
         p = tmp_path / "g.TextGrid"
         p.write_text(long_textgrid([(0.0, 1.0, label)]), encoding="utf-8")
         assert read_textgrid(p)[0].intervals[0].label == label
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_label_spanning_lines_keeps_the_file_line_break(self, tmp_path, newline):
+        p = tmp_path / "g.TextGrid"
+        text = long_textgrid([(0.0, 1.0, "a\nb"), (1.0, 2.0, "c")]).replace("\n", newline)
+        p.write_bytes(text.encode("utf-8"))
+        labels = [i.label for i in read_textgrid(p)[0].intervals]
+        assert labels == [f"a{newline}b", "c"]
