@@ -79,35 +79,34 @@ class SegmentBounds:
             raise ValueError(f"invalid bounds [{self.start_ms}, {self.end_ms})")
 
 
-def _decode_pcm(path: Path, raw: bytes, bits: int, audio_format: int) -> np.ndarray:
+def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int) -> np.ndarray:
     if audio_format not in (1, 3):
         raise UnsupportedFormatError(f"{path}: WAV audio format tag {audio_format} not supported")
     if audio_format == 3 and bits != 32:
         raise UnsupportedFormatError(f"{path}: {bits}-bit float WAV not supported")
     if bits not in (8, 16, 24, 32):
         raise UnsupportedFormatError(f"{path}: {bits}-bit integer WAV not supported")
-    raw = raw[: len(raw) - len(raw) % (bits // 8)]  # drop a partial last sample
+    raw = raw[: len(raw) - len(raw) % (bits // 8)]  # drop a partial last sample (a view)
     if audio_format == 3:  # IEEE float
         data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             # one NaN would spread through peak normalization to every sample
             raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
-        return np.clip(data, -1.0, 1.0)
+        return np.clip(data, -1.0, 1.0, out=data)
     if bits == 8:
         data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
         return (data - 128.0) / 128.0
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if bits == 24:
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        vals = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        return vals.astype(np.float64) / float(1 << 23)
+        # after one leading zero byte, each 3-byte sample is the top three
+        # bytes of a little-endian int32 that starts one byte before it; an
+        # arithmetic shift by 8 drops the byte below and extends the sign
+        padded = bytearray(len(raw) + 1)
+        padded[1:] = raw
+        vals = np.ndarray((len(raw) // 3,), "<i4", buffer=padded, strides=(3,))
+        return (vals >> 8) * (1.0 / (1 << 23))
     return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
 
 
@@ -130,10 +129,11 @@ def load_wav(path: str | Path) -> AudioBuffer:
     fmt = None
     data = None
     pos = 12
+    view = memoryview(blob)  # chunk bodies are views: the decode makes the only copy
     while pos + 8 <= len(blob):
         chunk_id = blob[pos : pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise UnreadableFileError(f"{path}: truncated fmt chunk")
@@ -155,7 +155,13 @@ def load_wav(path: str | Path) -> AudioBuffer:
     flat = _decode_pcm(path, data, bits, audio_format)
     if n_channels == 2:
         n = len(flat) // 2
-        flat = flat[: n * 2].reshape(n, 2).mean(axis=1)
+        mixed = flat[0 : 2 * n : 2] + flat[1 : 2 * n : 2]
+        if audio_format == 3:
+            # a pair of negative zeros (only float samples hold them) averages
+            # to +0.0, as numpy's mean gives: it sums from 0.0
+            mixed += 0.0
+        mixed *= 0.5  # exactly (a + b) / 2
+        flat = mixed
     if not len(flat):
         raise UnsupportedFormatError(f"{path}: data chunk holds no whole sample")
     return AudioBuffer(flat, sample_rate)
@@ -224,10 +230,13 @@ def detect_speech_segments(
 
     Windows are 25 ms with a 10 ms hop; a gap between two speech runs shorter
     than ``min_gap_ms`` does not split them. Digital silence yields an empty
-    list.
+    list. Raises ValueError at rates of 50 Hz and below, where the hop rounds
+    to no sample.
     """
     win = int(round(buf.sample_rate * RMS_WINDOW_MS / 1000.0))
     hop = int(round(buf.sample_rate * RMS_HOP_MS / 1000.0))
+    if hop == 0:
+        raise ValueError(f"sample rate {buf.sample_rate} Hz too low for a {RMS_HOP_MS} ms RMS hop")
     with np.errstate(divide="ignore"):
         rms_db = 10.0 * np.log10(window_power(buf.samples, win, hop))
     speech = rms_db > threshold_dbfs

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import sys
 import traceback
@@ -177,6 +178,13 @@ def _annotate_one(args):
     return result
 
 
+def _pool_context():
+    """The pool's start method: fork where the platform has it, so workers
+    inherit the imports made before the pool starts; else its default."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has
     one, else the processor count."""
@@ -229,7 +237,7 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         import scipy.signal  # noqa: F401
 
         outcomes = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
             for fut in [pool.submit(_annotate_one, t) for t in tasks]:
                 try:
                     outcomes.append(fut.result())

@@ -151,33 +151,34 @@ def _node_text(nodes: tuple) -> str:
     return " ".join(p for p in parts if p)
 
 
+def _syntagm_record(node: ProsodyElement, break_ms: int | None) -> SyntagmRecord:
+    return SyntagmRecord(
+        text=" ".join(_node_text(node.children).split()),
+        pitch_pct=node.pitch_pct or 0.0,
+        rate_pct=node.rate_pct or 0.0,
+        volume_pct=node.volume_pct or 0.0,
+        break_ms=break_ms,
+    )
+
+
 def document_syntagms(doc: SsmlDocument) -> list[list[SyntagmRecord]]:
     """Per-segment syntagm records: prosody elements in order, each with the
-    break that follows it (silence directives and bare text skipped). Missing
-    prosody attributes read as 0 (neutral)."""
+    first break between it and the next prosody element (silence directives
+    and bare text skipped). Missing prosody attributes read as 0 (neutral)."""
     out = []
     for seg in doc.segments:
         records: list[SyntagmRecord] = []
+        held = None  # the last prosody element, recorded once its break is known
+        break_ms = None
         for node in seg:
             if isinstance(node, ProsodyElement):
-                text = _node_text(node.children)
-                records.append(
-                    SyntagmRecord(
-                        text=" ".join(text.split()),
-                        pitch_pct=node.pitch_pct or 0.0,
-                        rate_pct=node.rate_pct or 0.0,
-                        volume_pct=node.volume_pct or 0.0,
-                        break_ms=None,
-                    )
-                )
-            elif isinstance(node, BreakElement) and records and records[-1].break_ms is None:
-                records[-1] = SyntagmRecord(
-                    records[-1].text,
-                    records[-1].pitch_pct,
-                    records[-1].rate_pct,
-                    records[-1].volume_pct,
-                    node.time_ms,
-                )
+                if held is not None:
+                    records.append(_syntagm_record(held, break_ms))
+                held, break_ms = node, None
+            elif isinstance(node, BreakElement) and held is not None and break_ms is None:
+                break_ms = node.time_ms
+        if held is not None:
+            records.append(_syntagm_record(held, break_ms))
         out.append(records)
     return out
 

@@ -128,11 +128,14 @@ def estimate_f0_track(buf: AudioBuffer) -> F0Track:
     """Track f0 over the buffer, one ``FRAME_MS`` frame per ``HOP_MS`` hop.
 
     The frame spans at least two periods of ``FMIN``; frame times are frame
-    centers. Unvoiced frames (no confident dip) carry NaN f0.
+    centers. Unvoiced frames (no confident dip) carry NaN f0. Raises
+    ValueError at rates of 50 Hz and below, where the hop rounds to no sample.
     """
     sr = buf.sample_rate
     frame_len = int(round(sr * FRAME_MS / 1000.0))
     hop = int(round(sr * HOP_MS / 1000.0))
+    if hop == 0:
+        raise ValueError(f"sample rate {sr} Hz too low for a {HOP_MS} ms f0 hop")
     w = frame_len // 2
     lag_max = min(w, int(np.ceil(sr / FMIN)))
     lag_min = max(2, int(sr // FMAX))

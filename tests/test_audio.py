@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +83,102 @@ class TestLoadWav:
         write_wav_raw(path, b"\x00\x00", 8000, channels=1, bits=8, audio_format=7)
         with pytest.raises(UnsupportedFormatError):
             load_wav(path)
+
+
+# (bits, WAV format tag) of every sample layout load_wav reads
+LAYOUTS = [(8, 1), (16, 1), (24, 1), (32, 1), (32, 3)]
+
+
+def reference_decode(data: bytes, channels: int, bits: int, audio_format: int):
+    """The samples load_wav should give, decoded one at a time in plain
+    Python; None where it should raise UnsupportedFormatError."""
+    width = bits // 8
+    whole = data[: len(data) - len(data) % width]
+    if audio_format == 3:
+        values = [v for (v,) in struct.iter_unpack("<f", whole)]
+        if any(v != v or v in (float("inf"), float("-inf")) for v in values):
+            return None
+        values = [min(max(v, -1.0), 1.0) for v in values]
+    elif bits == 8:
+        values = [(b - 128) / 128 for b in whole]
+    elif bits == 24:
+        values = [int.from_bytes(whole[i : i + 3], "little", signed=True) / 2**23
+                  for i in range(0, len(whole), 3)]
+    else:
+        code = "<h" if bits == 16 else "<i"
+        values = [v / 2 ** (bits - 1) for (v,) in struct.iter_unpack(code, whole)]
+    if channels == 2:
+        # numpy's mean sums from 0.0, which makes two negative zeros average to +0.0
+        values = [(0.0 + values[i] + values[i + 1]) / 2 for i in range(0, len(values) - 1, 2)]
+    return values or None
+
+
+def assert_decodes_like_reference(path, data, channels, bits, audio_format):
+    write_wav_raw(path, data, 16000, channels=channels, bits=bits, audio_format=audio_format)
+    expected = reference_decode(data, channels, bits, audio_format)
+    if expected is None:
+        with pytest.raises(UnsupportedFormatError):
+            load_wav(path)
+    else:
+        assert load_wav(path).samples.tobytes() == np.array(expected, np.float64).tobytes()
+
+
+def payload(bits, audio_format, n_samples, seed):
+    """n_samples random samples of one layout, extremes first."""
+    rng = np.random.default_rng(seed)
+    if audio_format == 3:
+        values = [-0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 1e-45, -1e-45]
+        values += list(rng.uniform(-1.2, 1.2, n_samples))
+        return np.array(values[:n_samples], dtype="<f4").tobytes()
+    extremes = {8: b"\x00\xff\x80\x7f", 16: struct.pack("<4h", 0, -1, 32767, -32768),
+                24: b"\x00\x00\x00\xff\xff\x7f\x00\x00\x80\xff\xff\xff",
+                32: struct.pack("<4i", 0, -1, 2**31 - 1, -(2**31))}[bits]
+    noise = rng.integers(0, 256, n_samples * bits // 8, dtype=np.uint8).tobytes()
+    return (extremes + noise)[: n_samples * bits // 8]
+
+
+class TestBitExactDecode:
+    @pytest.mark.parametrize("bits, audio_format", LAYOUTS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_whole_frames(self, tmp_path, bits, audio_format, channels):
+        data = payload(bits, audio_format, 2 * 301, seed=bits)
+        assert_decodes_like_reference(tmp_path / "a.wav", data, channels, bits, audio_format)
+
+    @pytest.mark.parametrize("bits, audio_format", LAYOUTS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_partial_last_sample_dropped(self, tmp_path, bits, audio_format, channels):
+        data = payload(bits, audio_format, 40, seed=bits) + b"\x01\x02\x03"[: bits // 8 - 1]
+        assert_decodes_like_reference(tmp_path / "a.wav", data, channels, bits, audio_format)
+
+    @pytest.mark.parametrize("bits, audio_format", LAYOUTS)
+    def test_odd_sample_count_in_stereo_drops_the_partial_frame(self, tmp_path, bits,
+                                                                audio_format):
+        data = payload(bits, audio_format, 41, seed=bits)
+        assert_decodes_like_reference(tmp_path / "a.wav", data, 2, bits, audio_format)
+        assert len(load_wav(tmp_path / "a.wav")) == 20
+
+    def test_24bit_extremes(self, tmp_path):
+        codes = [0, 1, -1, 2**23 - 1, -(2**23), 2**22, -(2**22) - 1]
+        data = b"".join(c.to_bytes(3, "little", signed=True) for c in codes)
+        path = tmp_path / "x.wav"
+        write_wav_raw(path, data, 16000, channels=1, bits=24)
+        samples = load_wav(path).samples
+        assert samples.tobytes() == np.array([c / 2**23 for c in codes]).tobytes()
+        assert samples[3] == 1.0 - 2.0**-23 and samples[4] == -1.0
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_no_whole_sample_or_frame(self, tmp_path, channels):
+        path = tmp_path / "a.wav"
+        write_wav_raw(path, b"\x00\x00\x00" if channels == 2 else b"\x00\x00", 16000,
+                      channels=channels, bits=24)
+        with pytest.raises(UnsupportedFormatError, match="no whole sample"):
+            load_wav(path)
+
+    @given(st.sampled_from(LAYOUTS), st.sampled_from([1, 2]), st.binary(max_size=64))
+    def test_random_payloads(self, tmp_path_factory, layout, channels, data):
+        bits, audio_format = layout
+        path = tmp_path_factory.mktemp("wav") / "r.wav"
+        assert_decodes_like_reference(path, data, channels, bits, audio_format)
 
 
 class TestResample:
@@ -190,6 +288,18 @@ class TestDetectSpeechSegments:
                 assert any(
                     s.start_ms <= start_ms and end_ms <= s.end_ms for s in segs
                 ), f"window at {start_ms} ms not covered"
+
+
+    @pytest.mark.parametrize("sr", [49, 50])
+    def test_rate_without_a_whole_hop_is_refused(self, sr):
+        # the 10 ms hop rounds to 0 samples at 50 Hz and below
+        with pytest.raises(ValueError, match=f"sample rate {sr} Hz"):
+            detect_speech_segments(AudioBuffer(np.zeros(200), sr))
+
+    def test_lowest_rate_with_a_whole_hop(self):
+        assert detect_speech_segments(AudioBuffer(np.zeros(200), 51)) == []
+        loud = detect_speech_segments(AudioBuffer(np.full(200, 0.5), 51))
+        assert loud == [SegmentBounds(0, 199 * 10 + 25)]
 
 
 class TestBounds:

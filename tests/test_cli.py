@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -179,6 +180,31 @@ class TestAnnotate:
         result = runner.invoke(main, ["annotate", str(manifest)])
         assert result.exit_code == 3, result.output
         assert "pair00: 5 syntagms" in result.output
+
+    def test_pool_starts_workers_by_fork_where_the_platform_can(self):
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert cli._pool_context().get_start_method() == "fork"
+        else:
+            assert cli._pool_context() is multiprocessing.get_context()
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_bad_grid_isolated_under_every_start_method(self, runner, tmp_path, monkeypatch,
+                                                         method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        manifest, line = two_pairs_one_bad_grid(tmp_path)
+        monkeypatch.setattr(cli, "_pool_context", lambda: multiprocessing.get_context(method))
+        runs = {}
+        for jobs in ("1", "2"):  # one job runs the pairs in this process, two in a pool
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            result = runner.invoke(main, ["annotate", str(manifest), "--jobs", jobs])
+            assert result.exit_code == 3, result.output
+            (failed,) = [x for x in result.output.splitlines() if x.startswith("bad: FAILED")]
+            assert failed.startswith(f"bad: FAILED (line {line}: ")
+            assert not (tmp_path / "out" / "bad.ssml").exists()
+            runs[jobs] = failed, {suffix: (tmp_path / "out" / f"pair00{suffix}").read_bytes()
+                                  for suffix in (".deltas.jsonl", ".ssml", ".log")}
+        assert runs["2"] == runs["1"]
 
     @pytest.mark.parametrize("affinity, count, expected",
                              [({0, 3}, 8, 2), (None, 8, 8), (None, None, 1)])
@@ -753,7 +779,7 @@ class TestPairOutcomes:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bug_in_one_pair_keeps_its_traceback(self, runner, tmp_path, monkeypatch, jobs):
-        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        if jobs != "1" and "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("workers see the patched function only when forked")
         real = pipeline.annotate_pair
 
@@ -774,9 +800,9 @@ class TestPairOutcomes:
         sizes = []
 
         class Spy(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Spy)
         result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["a", "b"]),
@@ -785,7 +811,7 @@ class TestPairOutcomes:
         assert sizes == [2]
 
     def test_killed_worker_fails_its_pairs(self, runner, tmp_path, monkeypatch):
-        if multiprocessing.get_start_method() != "fork":
+        if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("workers see the patched function only when forked")
         monkeypatch.setattr(cli, "_annotate_one", _die_on_bad)
         result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["bad", "good"]),

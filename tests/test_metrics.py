@@ -18,7 +18,7 @@ from prosodika.metrics import (
     true_label_probabilities,
 )
 from prosodika.prosody import ProsodyDelta
-from prosodika.ssml import EmitOptions, emit, parse, parse_corpus
+from prosodika.ssml import EmitOptions, SilenceDirective, emit, parse, parse_corpus
 
 
 def bp(word_count, positions, probabilities=None):
@@ -333,3 +333,38 @@ class TestDocumentSyntagms:
         (records,) = document_syntagms(doc)
         assert len(records) == 1
         assert records[0].text == "mot"
+
+    @staticmethod
+    def records(line):
+        (records,) = document_syntagms(parse(line))
+        return [(r.text, r.pitch_pct, r.break_ms) for r in records]
+
+    def test_break_after_bare_text_goes_to_preceding_prosody(self):
+        line = ('<prosody pitch="+1.00%">a</prosody> entre <break time="50ms"/>'
+                '<prosody pitch="-2.00%">b</prosody>')
+        assert self.records(line) == [("a", 1.0, 50), ("b", -2.0, None)]
+
+    def test_second_break_is_ignored(self):
+        line = ('<prosody pitch="+1.00%">a</prosody><break time="50ms"/>'
+                '<break time="70ms"/><prosody>b</prosody><break time="9ms"/>'
+                '<break time="8ms"/>')
+        assert self.records(line) == [("a", 1.0, 50), ("b", 0.0, 9)]
+
+    def test_break_before_any_prosody_is_dropped(self):
+        line = '<break time="40ms"/>intro<prosody rate="+3.00%">a</prosody>'
+        assert self.records(line) == [("a", 0.0, None)]
+
+    def test_silence_directives_change_nothing(self):
+        plain = ('<prosody pitch="+1.00%">a</prosody><break time="50ms"/>'
+                 '<prosody>b</prosody>')
+        wrapped = ('<mstts:silence type="leading-exact" value="0ms"/>'
+                   '<prosody pitch="+1.00%">a</prosody>'
+                   '<mstts:silence type="trailing-exact" value="0ms"/>'
+                   '<break time="50ms"/>'
+                   '<mstts:silence type="leading-exact" value="0ms"/>'
+                   '<prosody>b</prosody>'
+                   '<mstts:silence type="trailing-exact" value="0ms"/>')
+        (nodes,) = parse(wrapped).segments
+        assert sum(isinstance(n, SilenceDirective) for n in nodes) == 4
+        assert document_syntagms(parse(wrapped)) == document_syntagms(parse(plain))
+        assert self.records(plain) == [("a", 1.0, 50), ("b", 0.0, None)]

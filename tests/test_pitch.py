@@ -71,6 +71,17 @@ class TestEstimateF0:
         assert len(track.frames) == 59
         assert np.all(np.isnan(track.frames["f0_hz"]))
 
+    @pytest.mark.parametrize("sr", [49, 50])
+    def test_rate_without_a_whole_hop_is_refused(self, sr):
+        # the 10 ms hop rounds to 0 samples at 50 Hz and below
+        with pytest.raises(ValueError, match=f"sample rate {sr} Hz"):
+            estimate_f0_track(AudioBuffer(np.zeros(200), sr))
+
+    def test_lowest_rate_with_a_whole_hop(self):
+        track = estimate_f0_track(AudioBuffer(np.zeros(200), 51))
+        assert len(track.frames) == 199  # 2-sample frames, one per sample
+        assert np.all(np.isnan(track.frames["f0_hz"]))
+
     def test_f0_within_configured_range(self):
         buf = AudioBuffer(tone(400, 1.0, 16000, amplitude=0.8), 16000)
         track = estimate_f0_track(buf)
