@@ -30,6 +30,7 @@ BLOCK_S = 0.400
 BLOCK_HOP_S = 0.100
 _OFFSET = -0.691
 _CAL_HZ = 997.0
+_SHELF_HZ = 1681.9744509555319
 
 
 class SegmentTooShortError(ValueError):
@@ -38,8 +39,13 @@ class SegmentTooShortError(ValueError):
 
 def _shelf_and_highpass(sample_rate: int) -> np.ndarray:
     # Parametric redesign of the two K-weighting biquads for an arbitrary
-    # sample rate (bilinear transform of the analog prototypes).
-    f0, gain_db, q = 1681.9744509555319, 3.99984385397, 0.7071752369554193
+    # sample rate (bilinear transform of the analog prototypes). With the
+    # shelf at or above Nyquist the prewarp leaves tan's first branch and
+    # the shelf's poles leave the unit circle.
+    if sample_rate <= 2.0 * _SHELF_HZ:
+        raise ValueError(f"sample rate {sample_rate} Hz too low for K-weighting, whose "
+                         f"{_SHELF_HZ:.2f} Hz shelf must lie below Nyquist")
+    f0, gain_db, q = _SHELF_HZ, 3.99984385397, 0.7071752369554193
     k = np.tan(np.pi * f0 / sample_rate)
     vh = 10.0 ** (gain_db / 20.0)
     vb = vh ** 0.499666774155
@@ -85,7 +91,9 @@ def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -
     """Gated integrated loudness of a segment, in LUFS.
 
     Returns the SILENCE sentinel (-inf) when every gating block falls below
-    the absolute gate. Raises SegmentTooShortError below one gating block.
+    the absolute gate. Raises SegmentTooShortError below one gating block,
+    and ValueError at sample rates of 3363 Hz and below, where the
+    K-weighting cascade is unstable.
     """
     samples = buf.samples if bounds is None else buf.slice_ms(bounds.start_ms, bounds.end_ms)
     block = int(round(BLOCK_S * buf.sample_rate))

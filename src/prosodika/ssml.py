@@ -8,6 +8,11 @@ nodes so third-party SSML can still be scored. speak/voice envelopes are
 unwrapped transparently; their language and voice attributes are kept on the
 document, and they alone decide the envelope that emit_document writes.
 
+Parsing reads each line with expat inside a __root__ wrapper element and
+builds the subset's nodes through a tag table; other elements stay opaque,
+attributes in document order. Comments, CDATA sections and entity references
+join the text around them; each run of text is one whitespace-normalized node.
+
 Serialization is single-line and deterministic: percent attributes are signed
 with two decimals, break times are integer milliseconds, text whitespace is
 normalized. parse(emit(doc)) is structurally identical for documents whose
@@ -262,7 +267,10 @@ def _parse_pct(name: str, raw: str) -> float:
         raise ValueError(f"non-numeric {name} value {raw!r}")
     if not m.group(2):
         raise ValueError(f"{name} value {raw!r} is missing the % suffix")
-    return float(m.group(1))
+    value = float(m.group(1))
+    if math.isinf(value):
+        raise ValueError(f"{name} value {raw!r} is too large")
+    return value
 
 
 def _parse_ms(what: str, raw: str, unit_required: bool) -> int:
@@ -280,120 +288,100 @@ def _parse_ms(what: str, raw: str, unit_required: bool) -> int:
     return int(round(ms))
 
 
-class _Frame:
-    __slots__ = ("tag", "attrs", "children", "byte_idx")
-
-    def __init__(self, tag: str, attrs: list[str], byte_idx: int):
-        self.tag = tag
-        self.attrs = attrs  # expat ordered list [k1, v1, k2, v2, ...]
-        self.children: list[Node] = []
-        self.byte_idx = byte_idx  # start of the element in _Parser.raw_bytes
-
-
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>\s*")
+_ROOT_TAG = "<__root__>"  # wraps each line so that a fragment is one XML element
+_PCT_ATTRS = ("pitch", "rate", "volume")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        decl = _XML_DECL_RE.match(text)
-        self.base = decl.end() if decl else 0
-        self.body = text[self.base :]
-        self.wrapper = "<__root__>"
-        self.raw = f"{self.wrapper}{self.body}</__root__>"
-        self.raw_bytes = self.raw.encode("utf-8")
-        self.stack = [_Frame("__root__", [], 0)]
-        self.closing = self.stack[0]  # the element _end handles last
-        self.text_buf: list[str] = []
-        self.lang: str | None = None
-        self.voice: str | None = None
-        self.parser = expat.ParserCreate()
-        self.parser.ordered_attributes = True
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._cdata
+def _prosody(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
+    pct = {k: _parse_pct(k, v) for k, v in attrs.items() if k in _PCT_ATTRS}
+    return ProsodyElement(pct.get("pitch"), pct.get("rate"), pct.get("volume"), tuple(children),
+                          tuple((k, v) for k, v in attrs.items() if k not in pct))
 
-    def _offset(self, byte_idx: int) -> int:
-        """Character offset of a byte index into raw_bytes (slow: errors only)."""
-        prefix = self.raw_bytes[: max(0, byte_idx)].decode("utf-8", errors="ignore")
-        return max(0, len(prefix) - len(self.wrapper)) + self.base
 
-    def _flush_text(self):
-        if not self.text_buf:
-            return
-        joined = "".join(self.text_buf)
-        self.text_buf = []
-        norm = _norm_text(joined)
-        if norm:
-            self.stack[-1].children.append(TextNode(norm))
+def _break(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
+    if "time" not in attrs:
+        raise ValueError("break element is missing its time attribute")
+    return BreakElement(_parse_ms("break time", attrs["time"], unit_required=True))
 
-    def _start(self, tag: str, attrs: list[str]):
+
+def _silence(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
+    if attrs.get("type") not in (LEADING_EXACT, TRAILING_EXACT):
+        return _opaque(tag, attrs, children)
+    return SilenceDirective(attrs["type"],
+                            _parse_ms("silence value", attrs.get("value", "0"), False))
+
+
+def _opaque(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
+    return OpaqueElement(tag, tuple(attrs.items()), tuple(children))
+
+
+# the subset's elements: tag -> builder of the node; any other tag is opaque
+_ELEMENTS = {"prosody": _prosody, "break": _break, "mstts:silence": _silence}
+# envelopes: tag -> the attribute the document keeps; their children join the
+# parent's, and the outermost envelope that has the attribute sets it
+_ENVELOPES = {"__root__": None, "speak": "xml:lang", "voice": "name"}
+
+
+def _parse_line(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
+    """Nodes, language and voice of one line of SSML."""
+    decl = _XML_DECL_RE.match(text)
+    base = decl.end() if decl else 0
+    raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8")
+    root: list[Node] = []
+    stack = [("__root__", {}, root, 0)]  # open elements: (tag, attrs, children, byte index)
+    found: dict[str, str | None] = {"xml:lang": None, "name": None}
+
+    def offset(byte_idx: int) -> int:
+        """Character offset in ``text`` of a byte index into ``raw`` (slow: errors only)."""
+        prefix = raw[: max(0, byte_idx)].decode("utf-8", errors="ignore")
+        return max(0, len(prefix) - len(_ROOT_TAG)) + base
+
+    def start(tag: str, attrs: dict[str, str]):
         # the stack holds a base frame and the wrapper before any element
-        if len(self.stack) > MAX_DEPTH + 1:
+        if len(stack) > MAX_DEPTH + 1:
             raise SsmlParseError(f"elements nested more than {MAX_DEPTH} deep",
-                                 self._offset(self.parser.CurrentByteIndex))
-        self._flush_text()
-        self.stack.append(_Frame(tag, attrs, self.parser.CurrentByteIndex))
+                                 offset(parser.CurrentByteIndex))
+        stack.append((tag, attrs, [], parser.CurrentByteIndex))
 
-    def _cdata(self, data: str):
-        self.text_buf.append(data)
+    def chars(data: str):
+        norm = _norm_text(data)
+        if norm:
+            stack[-1][2].append(TextNode(norm))
 
-    def _end(self, tag: str):
-        self._flush_text()
-        frame = self.closing = self.stack.pop()
-        pairs = [(frame.attrs[i], frame.attrs[i + 1]) for i in range(0, len(frame.attrs), 2)]
-        attrs = dict(pairs)
-        node: Node | None = None
-        if tag == "__root__":
-            self.stack[-1].children.extend(frame.children)
-        elif tag == "speak":
-            self.lang = attrs.get("xml:lang", self.lang)
-            self.stack[-1].children.extend(frame.children)
-        elif tag == "voice":
-            self.voice = attrs.get("name", self.voice)
-            self.stack[-1].children.extend(frame.children)
-        elif tag == "prosody":
-            known = {}
-            extras = []
-            for key, value in pairs:
-                if key in ("pitch", "rate", "volume"):
-                    known[key] = _parse_pct(key, value)
-                else:
-                    extras.append((key, value))
-            node = ProsodyElement(
-                pitch_pct=known.get("pitch"),
-                rate_pct=known.get("rate"),
-                volume_pct=known.get("volume"),
-                children=tuple(frame.children),
-                extra_attrs=tuple(extras),
-            )
-        elif tag == "break":
-            if "time" not in attrs:
-                raise ValueError("break element is missing its time attribute")
-            node = BreakElement(_parse_ms("break time", attrs["time"], unit_required=True))
-        elif tag == "mstts:silence" and attrs.get("type") in (LEADING_EXACT, TRAILING_EXACT):
-            node = SilenceDirective(
-                attrs["type"], _parse_ms("silence value", attrs.get("value", "0"), False)
-            )
-        else:
-            node = OpaqueElement(tag, tuple(pairs), tuple(frame.children))
-        if node is not None:
-            self.stack[-1].children.append(node)
-
-    def run(self) -> tuple[tuple[Node, ...], str | None, str | None]:
+    def end(tag: str):
+        _, attrs, children, byte_idx = stack.pop()
+        parent = stack[-1][2]
+        if tag in _ENVELOPES:
+            key = _ENVELOPES[tag]
+            if key in attrs:
+                found[key] = attrs[key]
+            parent.extend(children)
+            return
         try:
-            self.parser.Parse(self.raw_bytes, True)
-        except expat.ExpatError as exc:
-            raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
-                                 self._offset(self.parser.ErrorByteIndex)) from None
-        except ValueError as exc:  # a bad value in the element _end was closing
-            raise SsmlParseError(str(exc), self._offset(self.closing.byte_idx)) from None
-        self._flush_text()
-        return tuple(self.stack[0].children), self.lang, self.voice
+            parent.append(_ELEMENTS.get(tag, _opaque)(tag, attrs, children))
+        except ValueError as exc:
+            raise SsmlParseError(str(exc), offset(byte_idx)) from None
+
+    parser = expat.ParserCreate()
+    # one CharacterDataHandler call per run of text: pyexpat flushes its
+    # buffer before each element handler, and no run outgrows the line
+    parser.buffer_size = len(raw)
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chars
+    try:
+        parser.Parse(raw, True)
+    except expat.ExpatError as exc:
+        raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
+                             offset(parser.ErrorByteIndex)) from None
+    return tuple(root), found["xml:lang"], found["name"]
 
 
 def parse(text: str) -> SsmlDocument:
     """Parse one SSML fragment or document into a single-segment document."""
-    nodes, lang, voice = _Parser(text).run()
+    nodes, lang, voice = _parse_line(text)
     return SsmlDocument(segments=(nodes,), lang=lang, voice=voice)
 
 
@@ -407,7 +395,7 @@ def parse_corpus(text: str) -> SsmlDocument:
         if not line.strip():
             continue
         try:
-            nodes, seg_lang, seg_voice = _Parser(line).run()
+            nodes, seg_lang, seg_voice = _parse_line(line)
         except SsmlParseError as exc:
             raise SsmlParseError(exc.args[0], exc.offset, lineno) from None
         segments.append(nodes)

@@ -656,6 +656,13 @@ def _bad_third_line(command):
     return build
 
 
+def _huge_pitch(root):
+    """score of a corpus whose pitch percent does not fit in a float."""
+    raw = "9" * 400 + "%"
+    path = _write(root / "huge.ssml", f'<prosody pitch="{raw}">mot</prosody>\n')
+    return ["score", path, path], f"{path}: line 1, offset 0: pitch value '{raw}' is too large"
+
+
 def _wav(data: bytes, rate=16000):
     """segment on a 16-bit mono WAV holding ``data``."""
     def build(root):
@@ -739,6 +746,7 @@ CONTRACT_ROWS = [
     ("census-bad-third-line", _bad_third_line("census"), 3),
     ("score-bad-third-line", _bad_third_line("score"), 3),
     ("validate-bad-third-line", _bad_third_line("validate-ssml"), 3),
+    ("score-pitch-too-large", _huge_pitch, 3),
     ("annotate-jobs-negative-one-pair", _jobs("-1", 1), 2),
     ("annotate-jobs-negative-two-pairs", _jobs("-1", 2), 2),
     ("annotate-jobs-zero", _jobs("0", 2), 2),

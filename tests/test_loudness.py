@@ -63,6 +63,22 @@ class TestIntegratedLoudness:
         alone = integrated_loudness(AudioBuffer(loud, 16000))
         assert alone - 0.5 < with_tail <= alone + 1e-9
 
+    @pytest.mark.parametrize("rate", [49, 2000, 3000, 3363])
+    def test_rate_with_the_shelf_above_nyquist_is_refused(self, rate):
+        # the K-weighting shelf sits at 1681.97 Hz; at these rates the cascade
+        # has a pole on or outside the unit circle (1.0006 at 3363 Hz)
+        buf = AudioBuffer(tone(10.0, 1.0, rate, amplitude=0.5), rate)
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz"):
+            integrated_loudness(buf)
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz"):
+            k_weighting_sos(rate)
+
+    @pytest.mark.parametrize("rate", [3364, 8000, 16000])
+    def test_rates_above_the_floor_read_the_tone(self, rate):
+        buf = AudioBuffer(tone(997.0, 1.0, rate, amplitude=0.5), rate)
+        assert integrated_loudness(buf) == pytest.approx(-0.691 + 10 * np.log10(0.125),
+                                                         abs=0.01)
+
     def test_works_at_48k(self):
         buf = AudioBuffer(tone(997, 2.0, 48000, amplitude=1.0), 48000)
         assert integrated_loudness(buf) == pytest.approx(-3.70, abs=0.1)

@@ -157,6 +157,43 @@ class TestParse:
             parse('<break time="' + "9" * 400 + 'ms"/>')
         assert "too large" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["pitch", "rate", "volume"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_percent_too_large(self, name, sign):
+        raw = sign + "9" * 400 + "%"
+        with pytest.raises(SsmlParseError) as err:
+            parse(f'mot <prosody {name}="{raw}">mot</prosody>')
+        assert err.value.args[0] == f"{name} value {raw!r} is too large"
+        assert err.value.offset == 4
+
+    def test_text_run_longer_than_expat_buffer_is_one_node(self):
+        # expat's default text buffer is 8 KiB; entities, character references,
+        # comments and CDATA sections all join the surrounding text
+        words = " ".join(f"mot{i}" for i in range(2000))
+        text = f"<prosody>{words} &amp; &#233;<!-- c --> {words}<![CDATA[ <x> ]]>fin</prosody>"
+        assert len(text.encode("utf-8")) > 3 * 8192
+        (node,) = parse(text).segments[0]
+        assert node.children == (TextNode(f"{words} & é {words} <x> fin"),)
+
+    def test_attributes_keep_document_order(self):
+        doc = parse('<emphasis z="1" level="strong" a="2">mot</emphasis>'
+                    '<prosody y="1" pitch="+1.00%" b="2" rate="-1.00%" a="3">mot</prosody>')
+        opaque, prosody = doc.segments[0]
+        assert opaque.attrs == (("z", "1"), ("level", "strong"), ("a", "2"))
+        assert prosody.extra_attrs == (("y", "1"), ("b", "2"), ("a", "3"))
+        assert (prosody.pitch_pct, prosody.rate_pct) == (1.0, -1.0)
+
+    def test_multiline_offsets_count_characters_from_the_start(self):
+        head = '<?xml version="1.0"?>\n<s>\U0001D11E été\n</s>\n'
+        text = head + '<prosody pitch="high">mot</prosody>'
+        with pytest.raises(SsmlParseError) as err:
+            parse(text)
+        assert (err.value.offset, err.value.line) == (len(head), None)
+        text = head + "<b>&zz;</b>"
+        with pytest.raises(SsmlParseError, match="malformed XML") as err:
+            parse(text)
+        assert err.value.offset == text.index("&zz;")
+
     def test_unknown_elements_opaque(self):
         doc = parse('<emphasis level="strong">mot</emphasis>')
         node = doc.segments[0][0]
