@@ -213,8 +213,8 @@ def annotate_corpus(
 
     The two streams must be the same transcript: equal length and matching
     word sequences (case-insensitive). Missing features (unvoiced pitch,
-    silent loudness) yield a zero delta plus a flag instead of an error, so
-    one bad syntagm cannot abort a corpus run.
+    silent loudness) yield a raw delta of 0 and a flag, not an error, so one
+    bad syntagm cannot abort a run; smoothing can still move a flagged pitch.
     """
     if len(nat) != len(syn):
         raise PairingError(
@@ -231,56 +231,41 @@ def annotate_corpus(
     if not nat:
         return []
 
-    n = len(nat)
-    f0_syn = [feats.median_f0_hz for _, feats in syn]
-    loud_nat = [feats.loudness_lufs for _, feats in nat]
-    f0_baseline = (
-        rolling_baseline(f0_syn, cfg.baseline_window)
-        if any(v is not None for v in f0_syn)
-        else [None] * n
-    )
-    loud_baseline = (
-        rolling_baseline(loud_nat, cfg.baseline_window)
-        if any(v is not None for v in loud_nat)
-        else [None] * n
-    )
-
     pitch_raw: list[float] = []
     rate_raw: list[float] = []
     volumes: list[float] = []
-    flag_sets: list[list[str]] = []
-    for i in range(n):
-        (s_nat, feats_nat), (s_syn, feats_syn) = nat[i], syn[i]
-        flags: list[str] = []
-        if feats_nat.median_f0_hz is not None and f0_baseline[i] is not None:
-            pitch_raw.append(pitch_delta(feats_nat.median_f0_hz, f0_baseline[i], cfg))
-        else:
-            pitch_raw.append(0.0)
-            flags.append(FLAG_NO_PITCH)
-        if feats_syn.loudness_lufs is not None and loud_baseline[i] is not None:
-            volumes.append(volume_delta(loud_baseline[i], feats_syn.loudness_lufs, cfg))
-        else:
-            volumes.append(0.0)
-            flags.append(FLAG_NO_LOUDNESS)
+    flag_sets: list[tuple[str, ...]] = []
+    f0_baseline = _baseline([feats.median_f0_hz for _, feats in syn], cfg)
+    loud_baseline = _baseline([feats.loudness_lufs for _, feats in nat], cfg)
+    for (s_nat, feats_nat), (s_syn, feats_syn), f0_base, loud_base in zip(
+        nat, syn, f0_baseline, loud_baseline
+    ):
+        has_pitch = feats_nat.median_f0_hz is not None and f0_base is not None
+        has_loud = feats_syn.loudness_lufs is not None and loud_base is not None
+        pitch_raw.append(pitch_delta(feats_nat.median_f0_hz, f0_base, cfg) if has_pitch else 0.0)
+        volumes.append(volume_delta(loud_base, feats_syn.loudness_lufs, cfg) if has_loud else 0.0)
         rate_raw.append(
             rate_delta(s_nat.word_count, s_nat.net_duration_s, s_syn.net_duration_s, cfg)
         )
-        if s_nat.pause_injected:
-            flags.append(FLAG_INJECTED_BREAK)
-        flag_sets.append(flags)
+        flag_sets.append(tuple(flag for flag, raised in (
+            (FLAG_NO_PITCH, not has_pitch),
+            (FLAG_NO_LOUDNESS, not has_loud),
+            (FLAG_INJECTED_BREAK, s_nat.pause_injected),
+        ) if raised))
 
-    pitch_smooth = smooth_series(pitch_raw, cfg)
-    rate_smooth = smooth_series(rate_raw, cfg)
     return [
-        ProsodyDelta(
-            pitch_pct=pitch_smooth[i],
-            rate_pct=rate_smooth[i],
-            volume_pct=volumes[i],
-            break_ms=nat[i][0].trailing_pause_ms,
-            flags=tuple(flag_sets[i]),
+        ProsodyDelta(pitch, rate, volume, s_nat.trailing_pause_ms, flags)
+        for pitch, rate, volume, (s_nat, _), flags in zip(
+            smooth_series(pitch_raw, cfg), smooth_series(rate_raw, cfg), volumes, nat, flag_sets
         )
-        for i in range(n)
     ]
+
+
+def _baseline(values: list[float | None], cfg: PipelineConfig) -> list[float | None]:
+    """rolling_baseline of ``values``, or all None when no value is present."""
+    if all(v is None for v in values):
+        return [None] * len(values)
+    return rolling_baseline(values, cfg.baseline_window)
 
 
 def delta_record(text: str, delta: ProsodyDelta, **extra) -> dict:

@@ -327,7 +327,8 @@ def _parse_line(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
     """Nodes, language and voice of one line of SSML."""
     decl = _XML_DECL_RE.match(text)
     base = decl.end() if decl else 0
-    raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8")
+    # a lone surrogate passes into the bytes, where expat rejects it as an invalid token
+    raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8", "surrogatepass")
     root: list[Node] = []
     stack = [("__root__", {}, root, 0)]  # open elements: (tag, attrs, children, byte index)
     found: dict[str, str | None] = {"xml:lang": None, "name": None}

@@ -90,16 +90,10 @@ class _Cursor:
         chunk = raw[start + 1 :]
         parts: list[str] = []
         while True:
-            i = 0
-            while i < len(chunk):
-                if chunk[i] == '"':
-                    if i + 1 < len(chunk) and chunk[i + 1] == '"':
-                        parts.append('"')
-                        i += 2
-                        continue
-                    return "".join(parts)
-                parts.append(chunk[i])
-                i += 1
+            end = _STRING_BODY_RE.match(chunk).end()
+            parts.append(chunk[:end])
+            if end < len(chunk):  # stopped at the closing quote
+                return "".join(parts).replace('""', '"')
             # quote closes on a later line: the line break is already in parts
             if self.pos >= len(self.lines):
                 raise TextGridParseError(f"unterminated string for {context}", lineno)
@@ -107,6 +101,8 @@ class _Cursor:
             self.pos += 1
 
 
+# a quoted string's body up to its closing quote: runs of non-quotes joined by "" escapes
+_STRING_BODY_RE = re.compile(r'[^"]*(?:""[^"]*)*')
 _HEADER_RE = re.compile(r'^\s*(File type|Object class)\s*=\s*"(.*)"\s*$')
 
 

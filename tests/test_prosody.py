@@ -291,6 +291,44 @@ class TestAnnotateCorpus:
         for d1, d2 in zip(base, scaled):
             assert d1.pitch_pct == pytest.approx(d2.pitch_pct, abs=1e-9)
 
+    def test_empty_pairing_is_empty(self):
+        assert annotate_corpus([], [], CFG) == []
+
+    def test_synthetic_voice_with_no_pitch_flags_every_syntagm(self):
+        # no f0 baseline exists, so every raw pitch is 0 and nothing is smoothed away from it
+        syntagms = [make_syntagm([f"m{i}"]) for i in range(3)]
+        nat = [(s, feats(f0=250.0)) for s in syntagms]
+        syn = [(s, feats(f0=None)) for s in syntagms]
+        deltas = annotate_corpus(nat, syn, CFG)
+        assert [(d.pitch_pct, d.flags) for d in deltas] == [(0.0, (FLAG_NO_PITCH,))] * 3
+
+    def test_natural_voice_with_no_loudness_flags_every_syntagm(self):
+        syntagms = [make_syntagm([f"m{i}"]) for i in range(3)]
+        nat = [(s, feats(lufs=None)) for s in syntagms]
+        syn = [(s, feats(lufs=-30.0)) for s in syntagms]
+        deltas = annotate_corpus(nat, syn, CFG)
+        assert [(d.volume_pct, d.flags) for d in deltas] == [(0.0, (FLAG_NO_LOUDNESS,))] * 3
+
+    def test_all_three_flags_in_order(self):
+        s = Syntagm(make_syntagm(["fin."]).words, 500, pause_injected=True)
+        (delta,) = annotate_corpus([(s, feats(f0=None))], [(s, feats(lufs=None))], CFG)
+        assert delta.flags == ("no-pitch", "no-loudness", "injected-break")
+        assert (delta.pitch_pct, delta.volume_pct, delta.break_ms) == (0.0, 0.0, 500)
+
+    def test_absent_value_in_window_is_skipped(self):
+        # window 3 over 6 syntagms: the first three windows hold a None, and
+        # their baselines come from the values beside it, not the global median
+        cfg = PipelineConfig(baseline_window=3)
+        syntagms = [make_syntagm([f"m{i}"]) for i in range(6)]
+        f0_syn = [200.0, None, 250.0, 400.0, 800.0, 900.0]
+        f0_nat = [225.0, 225.0, 325.0, 400.0, 800.0, 800.0]  # the synthetic baseline
+        lufs_nat = [-20.0, None, -21.0, -22.0, -23.0, -24.0]
+        lufs_syn = [-20.5, -20.5, -21.5, -22.0, -23.0, -23.0]  # the natural baseline
+        nat = [(s, feats(f0, lufs)) for s, f0, lufs in zip(syntagms, f0_nat, lufs_nat)]
+        syn = [(s, feats(f0, lufs)) for s, f0, lufs in zip(syntagms, f0_syn, lufs_syn)]
+        deltas = annotate_corpus(nat, syn, cfg)
+        assert [(d.pitch_pct, d.volume_pct, d.flags) for d in deltas] == [(0.0, 0.0, ())] * 6
+
 
 bounded_floats = st.floats(-1000, 1000, allow_nan=False)
 

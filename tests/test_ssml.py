@@ -194,6 +194,20 @@ class TestParse:
             parse(text)
         assert err.value.offset == text.index("&zz;")
 
+    @pytest.mark.parametrize(
+        "text", ["mot \ud800 x", '<prosody rate="+1.00%" a="x\udfff">mot</prosody>'],
+        ids=["text", "attribute"])
+    def test_lone_surrogate_is_a_parse_error(self, text):
+        # UTF-8 cannot encode a lone surrogate; expat rejects the bytes in its place
+        offset = min(i for i, c in enumerate(text) if "\ud800" <= c <= "\udfff")
+        message = "malformed XML: not well-formed (invalid token)"
+        with pytest.raises(SsmlParseError) as err:
+            parse(text)
+        assert err.value.args == (message, offset, None)
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus(f'<break time="1ms"/>\n\n{text}')
+        assert err.value.args == (message, offset, 3)
+
     def test_unknown_elements_opaque(self):
         doc = parse('<emphasis level="strong">mot</emphasis>')
         node = doc.segments[0][0]
