@@ -176,7 +176,8 @@ def analyze_voice(
     its measured features, as annotate_corpus takes them."""
     buf = prepare_audio(wav)
     syntagms = syntagms_from_textgrid(grid, lexicon, tier)
-    features = measure_features(buf, estimate_f0_track(buf), syntagms)
+    track = estimate_f0_track(buf, [(s.start_ms, s.end_ms) for s in syntagms])
+    features = measure_features(buf, track, syntagms)
     return buf, syntagms, list(zip(syntagms, features))
 
 

@@ -17,8 +17,12 @@ from conftest import (
     EXPECTED_PITCH_PCT,
     EXPECTED_RATE_PCT,
     EXPECTED_VOLUME_PCT,
+    NAT_DBFS,
+    NAT_F0,
     NAT_PAUSE_MS,
+    NAT_WORD_S,
     build_e2e_corpus,
+    build_voice_track,
     tone,
     write_wav_int16,
     write_wav_raw,
@@ -145,6 +149,30 @@ class TestAnnotate:
         assert result.exit_code == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+    def test_grid_past_its_audio_is_flagged_not_failed(self, runner, tmp_path):
+        # the natural grid runs to 6.7 s, its WAV stops at 0.5 s: every
+        # syntagm lies past the audio, so it has no f0 frame and no loudness
+        manifest = build_e2e_corpus(tmp_path, n_syntagms=4)
+        audio, _ = build_voice_track(4, NAT_F0, NAT_DBFS, NAT_WORD_S, NAT_PAUSE_MS)
+        write_wav_int16(tmp_path / "nat.wav", audio[:8000], 16000)
+        result = runner.invoke(main, ["annotate", str(manifest), "--jobs", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "pair00: 4 syntagms in 1 segments (4 flagged)\n"
+        recs = [json.loads(line)
+                for line in (tmp_path / "out" / "pair00.deltas.jsonl").read_text().splitlines()]
+        assert [(r["start_ms"], r["end_ms"], r["break_ms"]) for r in recs] == [
+            (700, 1900, 400), (2300, 3500, 400), (3900, 5100, 400), (5500, 6700, 0)]
+        for rec in recs:
+            assert rec["flags"] == ["no-pitch", "no-loudness"]
+            assert (rec["pitch_pct"], rec["rate_pct"], rec["volume_pct"]) == (0.0, 5.0, 0.0)
+            assert rec["segment"] == 0
+        neutral = '<prosody pitch="+0.00%" rate="+5.00%" volume="+0.00%">'
+        assert (tmp_path / "out" / "pair00.ssml").read_text() == (
+            f'{neutral}mot1 mot2 mot3</prosody><break time="400ms"/>'
+            f'{neutral}mot4 mot5 mot6</prosody><break time="400ms"/>'
+            f'{neutral}mot7 mot8 mot9</prosody><break time="400ms"/>'
+            f'{neutral}mot10 mot11 mot12</prosody><break time="0ms"/>\n')
 
     def test_corrupt_pair_isolated(self, runner, tmp_path):
         manifest_path = build_e2e_corpus(tmp_path, n_syntagms=2)

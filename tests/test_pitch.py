@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from prosodika import pitch
 from prosodika.audio import AudioBuffer, SegmentBounds
 from prosodika.pitch import (
     _BATCH_FRAMES,
@@ -171,9 +175,9 @@ SIGNALS = {
 }
 
 
-def assert_matches_reference(buf, indices=None):
-    """Same frame times and voicing as the reference, f0 within 1e-9 Hz, on
-    every frame or on the frames of ``indices``."""
+def assert_matches_reference(buf, indices=None, tol=1e-9):
+    """Same frame times and voicing as the reference, f0 within ``tol`` Hz,
+    on every frame or on the frames of ``indices``."""
     times, ref = reference_track(buf, indices=indices)
     frames = estimate_f0_track(buf).frames
     if indices is None:
@@ -185,7 +189,18 @@ def assert_matches_reference(buf, indices=None):
     f0 = frames["f0_hz"]
     assert np.array_equal(~np.isnan(f0), ref_voiced)
     ref_f0 = np.array([f for f in ref if f is not None])
-    assert np.all(np.abs(f0[ref_voiced] - ref_f0) <= 1e-9)
+    assert np.all(np.abs(f0[ref_voiced] - ref_f0) <= tol)
+
+
+@pytest.fixture(scope="module")
+def long_loud_signal():
+    # 10 minutes near full scale, quiet every other second, so a running sum
+    # of squares that never restarted would carry a large total into the
+    # quiet frames
+    sr, seconds = 16000, 600
+    t = np.arange(seconds * sr) / sr
+    loud = np.where(np.floor(t) % 2 == 0, 0.95, 0.01)
+    return AudioBuffer(loud * np.sin(2 * np.pi * (80 * t + 0.25 * t * t)), sr)
 
 
 class TestMatchesScalarReference:
@@ -198,30 +213,108 @@ class TestMatchesScalarReference:
     def test_other_sample_rates(self, sr):
         assert_matches_reference(AudioBuffer(_chirp(0.05, 5, sr), sr))
 
-    # one frame; part of an energy group; one frame past a whole batch
-    @pytest.mark.parametrize("n_frames", [1, _ENERGY_GROUP + 13, _BATCH_FRAMES + 1])
+    # one frame; part of an energy group; one frame past one whole batch and
+    # past 4096 frames
+    @pytest.mark.parametrize("n_frames", [1, _ENERGY_GROUP + 13, _BATCH_FRAMES + 1, 4097])
     def test_partial_groups_and_batches(self, n_frames):
         buf = AudioBuffer(_chirp(0.1, 6, n_samples=640 + (n_frames - 1) * 160), 16000)
         assert len(estimate_f0_track(buf).frames) == n_frames
         assert_matches_reference(buf)
 
-    def test_no_drift_at_batch_ends_of_a_long_loud_signal(self):
-        # 10 minutes near full scale, quiet every other second, so a running
-        # sum of squares that never restarted would carry a large total into
-        # the quiet frames; the last frames of each batch are checked
-        sr, seconds = 16000, 600
-        t = np.arange(seconds * sr) / sr
-        loud = np.where(np.floor(t) % 2 == 0, 0.95, 0.01)
-        sig = loud * np.sin(2 * np.pi * (80 * t + 0.25 * t * t))
-        n_frames = (len(sig) - 640) // 160 + 1
-        ends = [end - k for end in range(_BATCH_FRAMES, n_frames, _BATCH_FRAMES)
+    def test_no_drift_at_batch_ends_of_a_long_loud_signal(self, long_loud_signal):
+        # the last four frames of every 4096 frames
+        buf = long_loud_signal
+        n_frames = (len(buf.samples) - 640) // 160 + 1
+        ends = [end - k for end in range(4096, n_frames, 4096) for k in range(1, 5)]
+        assert_matches_reference(buf, indices=ends)
+
+    def test_no_drift_at_energy_group_ends_of_a_long_loud_signal(self, long_loud_signal):
+        # the last four frames of every energy group, where the running sum
+        # has added the most: its rounding reaches 3.1e-9 Hz on this signal
+        # (3.5e-9 Hz on any frame), against the reference's own summation
+        buf = long_loud_signal
+        n_frames = (len(buf.samples) - 640) // 160 + 1
+        ends = [end - k for end in range(_ENERGY_GROUP, n_frames + 1, _ENERGY_GROUP)
                 for k in range(1, 5)]
-        assert_matches_reference(AudioBuffer(sig, sr), indices=ends)
+        assert_matches_reference(buf, indices=ends, tol=1e-8)
 
     def test_mixed_voicing_is_exercised(self):
         _, ref = reference_track(AudioBuffer(SIGNALS["chirp-half-voiced"](), 16000))
         voiced = sum(f is not None for f in ref)
         assert 0.1 * len(ref) < voiced < 0.9 * len(ref)
+
+
+def _sweep(seconds, seed, sr=16000):
+    # 80 -> 380 Hz over the whole signal, in noise that leaves some frames
+    # unvoiced
+    t = np.arange(int(seconds * sr)) / sr
+    rng = np.random.default_rng(seed)
+    sig = 0.6 * np.sin(2 * np.pi * (80 * t + 150 * t * t / seconds)) + rng.normal(0, 0.2, len(t))
+    return AudioBuffer(sig.clip(-1, 1), sr)
+
+
+class TestBatches:
+    def test_batches_hold_whole_energy_groups(self):
+        # so every running sum restarts at the same sample whatever the batch
+        assert _BATCH_FRAMES % _ENERGY_GROUP == 0
+
+    def test_frames_do_not_depend_on_the_batch_size(self, monkeypatch):
+        buf = _sweep(46, 8)  # 4597 frames: more than one batch at every size
+        tracks = []
+        for size in (32, _BATCH_FRAMES, 4096):
+            monkeypatch.setattr(pitch, "_BATCH_FRAMES", size)
+            tracks.append(estimate_f0_track(buf).frames.tobytes())
+        assert tracks[0] == tracks[1] == tracks[2]
+
+
+@pytest.fixture(scope="module")
+def span_signal():
+    """A buffer of three and a bit batches, and its full track."""
+    buf = _sweep((3 * _BATCH_FRAMES + 40) / 100, 9)
+    return buf, estimate_f0_track(buf)
+
+
+def _frame_time(i):
+    return i * 10.0 + 20.0  # 16 kHz: 160-sample hop, 640-sample frame
+
+
+_EDGE_FRAMES = [0, 1, _ENERGY_GROUP - 1, _ENERGY_GROUP, _BATCH_FRAMES - 1, _BATCH_FRAMES,
+                _BATCH_FRAMES + 1, 2 * _BATCH_FRAMES, 3 * _BATCH_FRAMES + 39]
+_SPAN_MS = st.one_of(
+    st.integers(-200, 10_000),
+    st.floats(-200.0, 10_000.0, allow_nan=False),
+    # on a frame time, at batch and energy-group edges, or just either side
+    st.tuples(st.sampled_from(_EDGE_FRAMES), st.sampled_from([-0.5, 0.0, 0.5])).map(
+        lambda e: _frame_time(e[0]) + e[1]),
+)
+_SPAN = st.one_of(st.tuples(_SPAN_MS, _SPAN_MS), _SPAN_MS.map(lambda t: (t, t)))
+
+
+class TestSpans:
+    @given(spans=st.lists(_SPAN, max_size=6))
+    @example(spans=[])
+    @settings(max_examples=80, deadline=None)
+    def test_span_track_is_the_full_track_inside_the_spans(self, span_signal, spans):
+        buf, full = span_signal
+        track = estimate_f0_track(buf, spans)
+        times = full.frames["time_ms"]
+        inside = np.zeros(len(times), dtype=bool)
+        for start, end in spans:
+            inside |= (start <= times) & (times < end)
+        assert track.frames.tobytes() == full.frames[inside].tobytes()
+        assert np.all(np.diff(track.frames["time_ms"]) > 0)
+        for start, end in spans:
+            # median_f0 reads only the two bounds, so it takes any span here
+            bounds = SimpleNamespace(start_ms=start, end_ms=end)
+            assert median_f0(track, bounds) == median_f0(full, bounds)
+
+    def test_span_past_the_audio_tracks_no_frames(self):
+        # a 0.5 s voice whose grid runs to 6.7 s
+        buf = AudioBuffer(tone(200, 0.5, 16000, amplitude=0.8), 16000)
+        spans = [(700, 1900), (2300, 3500), (5500, 6700)]
+        track = estimate_f0_track(buf, spans)
+        assert len(track.frames) == 0
+        assert all(median_f0(track, SegmentBounds(*s)) is None for s in spans)
 
 
 class TestMedianF0:
