@@ -240,18 +240,11 @@ def detect_speech_segments(
     with np.errstate(divide="ignore"):
         rms_db = 10.0 * np.log10(window_power(buf.samples, win, hop))
     speech = rms_db > threshold_dbfs
-    runs: list[list[int]] = []  # [start_ms, end_ms] over window extents
+    merged: list[list[int]] = []  # [start_ms, end_ms] over window extents
     for i in np.flatnonzero(speech):
         start = int(i) * RMS_HOP_MS
-        end = start + RMS_WINDOW_MS
-        if runs and start <= runs[-1][1]:
-            runs[-1][1] = end
+        if merged and (start <= merged[-1][1] or start - merged[-1][1] < min_gap_ms):
+            merged[-1][1] = start + RMS_WINDOW_MS
         else:
-            runs.append([start, end])
-    merged: list[list[int]] = []
-    for run in runs:
-        if merged and run[0] - merged[-1][1] < min_gap_ms:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
+            merged.append([start, start + RMS_WINDOW_MS])
     return [SegmentBounds(a, b) for a, b in merged]

@@ -147,7 +147,11 @@ def pick_words_tier(tiers: list[TextGridTier], name: str | None) -> TextGridTier
 def syntagms_from_textgrid(
     path: str | Path, lexicon: FunctionWordLexicon, tier_name: str | None = None
 ) -> list[Syntagm]:
-    tier = pick_words_tier(read_textgrid(path), tier_name)
+    tiers = read_textgrid(path)
+    try:
+        tier = pick_words_tier(tiers, tier_name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     tokens = filter_function_word_pauses(tokens_from_tier(tier), lexicon)
     return segment_syntagms(tokens)
 

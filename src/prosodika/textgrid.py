@@ -1,10 +1,13 @@
-"""Praat TextGrid reader for long and short text formats.
+"""Praat TextGrid reader for the long and short text formats.
 
-Only IntervalTiers are returned (point tiers are consumed and skipped).
-Labels are preserved verbatim, including Praat's "" quote escapes, which are
-unescaped. Parse failures raise TextGridParseError carrying the 1-based line
-number of the offending input line, and the file's path when read_textgrid
-read it.
+One rule reads both formats, as in Praat: blank lines and list headers (a
+line that is only ``name [k]:`` or ``name []:``, such as ``item [1]:``) are
+skipped, a value is taken after its ``=`` when it has one, and only blank
+lines may follow the last tier. Only IntervalTiers are returned (point tiers
+are read and skipped). Labels keep their text verbatim, with Praat's ""
+quote escapes unescaped. A file is UTF-16 after a UTF-16 BOM, UTF-8 with or
+without a BOM, and else Latin-1. Failures raise TextGridParseError carrying
+the 1-based line number, and the file's path when read_textgrid read it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class TextGridTier:
 
 
 class _Cursor:
-    """Line cursor shared by the long- and short-format branches."""
+    """Line cursor that skips blank lines and list headers. After each read,
+    ``lead`` is the line after the last non-blank line before the value."""
 
     def __init__(self, text: str):
         # each line keeps its own terminator, which read_string copies into a
@@ -62,10 +66,14 @@ class _Cursor:
         return min(self.pos + 1, len(self.lines))
 
     def next_content_line(self, context: str) -> tuple[int, str]:
+        self.lead = self.pos + 1
         while self.pos < len(self.lines):
             raw = self.lines[self.pos]
             self.pos += 1
-            if raw.strip():
+            text = raw.strip()
+            if text.endswith(":") and _LIST_HEADER_RE.fullmatch(text):
+                self.lead = self.pos + 1
+            elif text:
                 return self.pos, raw
         raise TextGridParseError(f"unexpected end of file while reading {context}",
                                  max(1, len(self.lines)))
@@ -104,6 +112,8 @@ class _Cursor:
 # a quoted string's body up to its closing quote: runs of non-quotes joined by "" escapes
 _STRING_BODY_RE = re.compile(r'[^"]*(?:""[^"]*)*')
 _HEADER_RE = re.compile(r'^\s*(File type|Object class)\s*=\s*"(.*)"\s*$')
+# a long-format list header, such as "item []:" or "intervals [2]:"
+_LIST_HEADER_RE = re.compile(r"\w+ ?\[\d*\]:")
 
 
 def parse_textgrid(text: str) -> list[TextGridTier]:
@@ -121,44 +131,30 @@ def parse_textgrid(text: str) -> list[TextGridTier]:
             f"not a TextGrid: {header.get('File type')!r}/{header.get('Object class')!r}", 1
         )
 
-    # Peek at the first grid line to pick the format: long files spell
-    # "xmin = ...", short files carry the bare number.
-    peek_pos = cur.pos
-    _, raw = cur.next_content_line("grid start time")
-    cur.pos = peek_pos
-    long_format = "=" in raw or raw.strip().startswith("xmin")
-
     cur.read_number("grid start time")
     cur.read_number("grid end time")
     lineno, raw = cur.next_content_line("tier flag")
     if "<exists>" not in raw:
-        if long_format or raw.strip().startswith("tiers?"):
-            raise TextGridParseError("expected tiers? <exists> flag", lineno)
-        raise TextGridParseError("tierless TextGrid has no interval tiers", lineno)
+        message = ("tierless TextGrid has no interval tiers" if "<absent>" in raw
+                   else "expected tiers? <exists> flag")
+        raise TextGridParseError(message, lineno)
     n_tiers = int(cur.read_number("tier count"))
-    if long_format:
-        cur.next_content_line("item []:")  # the "item []:" list header
 
     tiers: list[TextGridTier] = []
     for _ in range(n_tiers):
-        if long_format:
-            cur.next_content_line("item [k]:")
         tier_class = cur.read_string("tier class")
         name = cur.read_string("tier name")
         tier_start = cur.read_number("tier start time")
         tier_end = cur.read_number("tier end time")
         if tier_class == "IntervalTier":
-            count_line = cur.lineno
             n_items = int(cur.read_number("interval count"))
             if n_items < 0:
-                raise TextGridParseError("negative interval count", count_line)
+                raise TextGridParseError("negative interval count", cur.lead)
             intervals = []
             prev_end = None
             for _ in range(n_items):
-                if long_format:
-                    cur.next_content_line("intervals [i]:")
-                lineno = cur.lineno
                 xmin = cur.read_number("interval start")
+                lineno = cur.lead  # just after the previous label or the list header
                 xmax = cur.read_number("interval end")
                 label = cur.read_string("interval text")
                 if xmax < xmin:
@@ -175,28 +171,30 @@ def parse_textgrid(text: str) -> list[TextGridTier]:
         elif tier_class == "TextTier":
             n_items = int(cur.read_number("point count"))
             for _ in range(n_items):
-                if long_format:
-                    cur.next_content_line("points [i]:")
                 cur.read_number("point time")
                 cur.read_string("point mark")
         else:
             raise TextGridParseError(f"unknown tier class {tier_class!r}", cur.lineno)
+    for lineno, raw in enumerate(cur.lines[cur.pos :], start=cur.pos + 1):
+        if raw.strip():
+            raise TextGridParseError(f"unexpected {raw.strip()!r} after the last tier", lineno)
     return tiers
 
 
 def read_textgrid(path: str | Path) -> list[TextGridTier]:
-    """Read and parse a TextGrid file, handling UTF-8 and UTF-16 encodings."""
+    """Read, decode and parse a TextGrid file; every error names the path."""
     blob = Path(path).read_bytes()
-    if blob.startswith(b"\xff\xfe") or blob.startswith(b"\xfe\xff"):
-        text = blob.decode("utf-16")
-    elif blob.startswith(b"\xef\xbb\xbf"):
-        text = blob.decode("utf-8-sig")
-    else:
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError:
-            text = blob.decode("latin-1")
+    encoding = "UTF-16" if blob.startswith((b"\xff\xfe", b"\xfe\xff")) else "UTF-8"
     try:
-        return parse_textgrid(text)
+        text = blob.decode(encoding)
+    except UnicodeDecodeError as exc:
+        if encoding == "UTF-16" or blob.startswith(b"\xef\xbb\xbf"):
+            # the line that holds the first byte that does not decode
+            line = len(split_lines(blob[: exc.start].decode(encoding) + "?"))
+            raise TextGridParseError(f"invalid {encoding} at byte {exc.start}: {exc.reason}",
+                                     line, str(path)) from None
+        text = blob.decode("latin-1")
+    try:
+        return parse_textgrid(text.removeprefix("\ufeff") if encoding == "UTF-8" else text)
     except TextGridParseError as exc:
         raise TextGridParseError(exc.args[0], exc.line, str(path)) from None

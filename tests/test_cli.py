@@ -23,6 +23,7 @@ from conftest import (
     NAT_WORD_S,
     build_e2e_corpus,
     build_voice_track,
+    long_textgrid,
     tone,
     write_wav_int16,
     write_wav_raw,
@@ -639,6 +640,21 @@ def _voice_alone(root):
         "--full-document"
 
 
+def _bad_grid(content=None, words_tier=None):
+    """annotate a pair whose natural TextGrid holds ``content`` (bytes) or
+    whose manifest picks the tier ``words_tier``; the pair's FAILED line must
+    name the grid."""
+    def build(root):
+        data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
+        grid = root / "nat.TextGrid"
+        if content is not None:
+            grid.write_bytes(content)
+        if words_tier is not None:
+            data["pairs"][0]["words_tier"] = words_tier
+        return ["annotate", _write(root / "job.json", json.dumps(data))], str(grid)
+    return build
+
+
 def _missing_manifest(root):
     missing = str(root / "no-such-job.json")
     return ["annotate", missing], missing
@@ -750,6 +766,12 @@ CONTRACT_ROWS = [
     ("annotate-config-value-bool", _manifest_config({"smoothing_alpha": True},
                                                     "smoothing_alpha"), 3),
     ("annotate-voice-without-full-document", _voice_alone, 2),
+    ("annotate-grid-bad-utf8-after-bom", _bad_grid(b"\xef\xbb\xbf" + long_textgrid(
+        [(0.0, 1.0, "caf\xe9")]).encode("latin-1")), 3),
+    ("annotate-grid-no-tiers", _bad_grid(long_textgrid([(0.0, 1.0, "a")])
+                                         .split("    item [1]:")[0]
+                                         .replace("size = 1", "size = 0").encode()), 3),
+    ("annotate-grid-no-such-tier", _bad_grid(words_tier="nope"), 3),
     ("segment-odd-data-chunk", _wav(np.array([1000, -1000], "<i2").tobytes() + b"\x01"), 0),
     ("segment-rate-zero", _wav(b"\x00\x00" * 16, rate=0), 3),
     ("segment-empty-data", _wav(b""), 3),
@@ -793,9 +815,11 @@ def test_exit_code_contract(runner, tmp_path, build, code):
     assert "Traceback" not in result.output
     assert result.exit_code == code, result.output
     if code:
-        # click reports a bad option value itself, naming the option
-        prefix = "Error: Invalid value for " if named.startswith("--") else "error: "
-        errors = [line for line in result.output.splitlines() if line.startswith(prefix)]
+        # click reports a bad option value itself, naming the option; a pair
+        # that fails in annotate is reported on its own FAILED line
+        prefixes = (("Error: Invalid value for ",) if named.startswith("--")
+                    else ("error: ", "pair00: FAILED ("))
+        errors = [line for line in result.output.splitlines() if line.startswith(prefixes)]
         assert len(errors) == 1, result.output
         assert named in errors[0]
 

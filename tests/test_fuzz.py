@@ -17,7 +17,7 @@ from prosodika.audio import AudioError, load_wav
 from prosodika.metrics import tag_census
 from prosodika.pipeline import ManifestError, load_manifest
 from prosodika.prosody import read_delta_records
-from prosodika.textgrid import TextGridParseError, parse_textgrid
+from prosodika.textgrid import TextGridParseError, parse_textgrid, read_textgrid
 
 from conftest import long_textgrid, short_textgrid
 
@@ -81,9 +81,15 @@ TRICKY_LINES = ["", "inf", "nan", "-1", "1e309", "xmax = zz", "size = inf", '"',
 GRID = [(0.0, 0.4, ""), (0.4, 0.9, 'mot "un"'), (0.9, 1.2, "")]
 
 
+def headerless_textgrid(intervals):
+    """A long grid without its list headers ("item []:", "intervals [1]:", ...)."""
+    return "".join(line for line in long_textgrid(intervals).splitlines(keepends=True)
+                   if not line.rstrip().endswith("]:"))
+
+
 @FUZZ
 @given(
-    make=st.sampled_from([long_textgrid, short_textgrid]),
+    make=st.sampled_from([long_textgrid, short_textgrid, headerless_textgrid]),
     edits=st.lists(st.tuples(st.integers(0, 40),
                              st.sampled_from(TRICKY_LINES) | st.text(max_size=8)), max_size=3),
     keep=st.integers(0, 40),
@@ -96,6 +102,25 @@ def test_parse_textgrid_raises_only_parse_errors(make, edits, keep):
         parse_textgrid("\n".join(lines[: keep or None]))
     except TextGridParseError:
         pass
+
+
+BOMS = [b"", b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff"]
+
+
+@FUZZ
+@given(bom=st.sampled_from(BOMS), blob=st.binary(max_size=64),
+       grid=st.sampled_from([b"", long_textgrid(GRID).encode("utf-16-le"),
+                             short_textgrid(GRID).encode("utf-8")]),
+       at=st.integers(0, 400))
+@example(bom=BOMS[1], blob=b"caf\xe9", grid=b"", at=0)
+@example(bom=BOMS[2], blob=b"\x00", grid=long_textgrid(GRID).encode("utf-16-le"), at=400)
+def test_read_textgrid_raises_only_parse_errors_naming_the_file(scratch, bom, blob, grid, at):
+    path = scratch / "fuzz.TextGrid"
+    path.write_bytes(bom + grid[:at] + blob + grid[at:])
+    try:
+        read_textgrid(path)
+    except TextGridParseError as exc:
+        assert str(path) in str(exc)
 
 
 SSML_TOKENS = ['<prosody pitch="+1.00%" rate="-2.50%">', "</prosody>", '<break time="200ms"/>',

@@ -7,6 +7,24 @@ from prosodika.textgrid import TextGridParseError, parse_textgrid, read_textgrid
 from conftest import long_textgrid, short_textgrid
 
 MINIMAL = [(0.0, 1.0, "bonjour"), (1.0, 1.5, "")]
+THREE = [(0.0, 0.5, "a"), (0.5, 1.0, "b"), (1.0, 1.5, "")]
+
+
+def with_point_tier(text: str) -> str:
+    """A one-tier long grid with a second tier, of points, appended."""
+    return text.replace("size = 1", "size = 2").rstrip("\n") + "\n" + "\n".join(
+        [
+            "    item [2]:",
+            '        class = "TextTier"',
+            '        name = "events"',
+            "        xmin = 0",
+            "        xmax = 1.5",
+            "        points: size = 1",
+            "        points [1]:",
+            "            number = 0.7",
+            '            mark = "click"',
+        ]
+    ) + "\n"
 
 
 class TestLongFormat:
@@ -45,22 +63,30 @@ class TestLongFormat:
         assert [t.name for t in tiers] == ["words", "phones"]
 
     def test_point_tier_skipped(self):
-        text = long_textgrid(MINIMAL).replace("size = 1", "size = 2").rstrip("\n")
-        text += "\n" + "\n".join(
-            [
-                "    item [2]:",
-                '        class = "TextTier"',
-                '        name = "events"',
-                "        xmin = 0",
-                "        xmax = 1.5",
-                "        points: size = 1",
-                "        points [1]:",
-                "            number = 0.7",
-                '            mark = "click"',
-            ]
-        ) + "\n"
-        tiers = parse_textgrid(text)
+        tiers = parse_textgrid(with_point_tier(long_textgrid(MINIMAL)))
         assert [t.name for t in tiers] == ["words"]
+
+    def test_list_headers_are_optional(self):
+        text = with_point_tier(long_textgrid(MINIMAL))
+        lines = text.splitlines()
+        headers = [line for line in lines if line.strip().endswith(":")]
+        assert headers == ["item []:", "    item [1]:", "        intervals [1]:",
+                           "        intervals [2]:", "    item [2]:", "        points [1]:"]
+        bare = "\n".join(line for line in lines if line not in headers) + "\n"
+        assert parse_textgrid(bare) == parse_textgrid(text)
+
+    def test_value_in_a_header_slot_names_its_line(self):
+        lines = long_textgrid(THREE).splitlines()
+        assert lines[22] == "        intervals [3]:"
+        lines[22] = '        "x"'
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid("\n".join(lines) + "\n")
+        assert err.value.line == 23
+        assert "expected a number for interval start" in str(err.value)
+
+    def test_label_that_ends_like_a_header_is_kept(self):
+        tiers = parse_textgrid(long_textgrid([(0.0, 1.0, "x [1]:"), (1.0, 2.0, "\nitem [2]:")]))
+        assert [i.label for i in tiers[0].intervals] == ["x [1]:", "\nitem [2]:"]
 
 
 class TestShortFormat:
@@ -68,6 +94,11 @@ class TestShortFormat:
         long_tiers = parse_textgrid(long_textgrid(MINIMAL))
         short_tiers = parse_textgrid(short_textgrid(MINIMAL))
         assert long_tiers == short_tiers
+
+    def test_values_may_carry_keys(self):
+        lines = short_textgrid(MINIMAL).splitlines()
+        lines[3], lines[14] = "xmin = 0.0", 'text = "bonjour"'
+        assert parse_textgrid("\n".join(lines)) == parse_textgrid(short_textgrid(MINIMAL))
 
     def test_escaped_quotes(self):
         tiers = parse_textgrid(short_textgrid([(0.0, 1.0, 'dit ""oui""'.replace('""', '"'))]))
@@ -82,6 +113,46 @@ class TestErrors:
         # offending interval starts at a concrete line carried by the error
         assert err.value.line > 0
         assert "precedes" in str(err.value)
+
+    @pytest.mark.parametrize("make,line", [(long_textgrid, 20), (short_textgrid, 16)])
+    @pytest.mark.parametrize("second,message", [((1.0, 0.5, "b"), "precedes"),
+                                                ((0.5, 2.0, "b"), "overlaps")])
+    def test_interval_order_errors_name_the_interval_start(self, make, line, second, message):
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(make([(0.0, 1.0, "a"), second]))
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    def test_content_after_the_last_tier_names_its_line(self):
+        # without its tier xmin/xmax lines, the tier would read the interval
+        # count and the first interval's times as its own values
+        lines = short_textgrid(THREE).splitlines()
+        assert lines[9:11] == ["0.0", "1.5"]
+        del lines[9:11]
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid("\n".join(lines) + "\n\n")
+        assert err.value.line == 13
+        assert "\'\"a\"\' after the last tier" in str(err.value)
+
+    def test_only_blank_lines_may_follow_the_last_tier(self):
+        assert parse_textgrid(short_textgrid(MINIMAL) + "\n  \r\n\n") == parse_textgrid(
+            short_textgrid(MINIMAL))
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(long_textgrid(MINIMAL) + "\n    item [2]:\n")
+        assert err.value.line == 24
+
+    @pytest.mark.parametrize("flag,message", [
+        ("tiers? <absent>", "tierless TextGrid has no interval tiers"),
+        ("<absent>", "tierless TextGrid has no interval tiers"),
+        ("tiers? maybe", "expected tiers? <exists> flag"),
+        ("maybe", "expected tiers? <exists> flag"),
+    ])
+    def test_tier_flag(self, flag, message):
+        for text in (long_textgrid(MINIMAL).replace("tiers? <exists>", flag),
+                     short_textgrid(MINIMAL).replace("<exists>", flag)):
+            with pytest.raises(TextGridParseError) as err:
+                parse_textgrid(text)
+            assert (err.value.line, err.value.args[0]) == (6, message)
 
     def test_error_survives_pickling(self):
         with pytest.raises(TextGridParseError) as err:
@@ -137,6 +208,23 @@ class TestEncodings:
         p.write_bytes(b"\xef\xbb\xbf" + long_textgrid([(0.0, 1.0, "ete")]).encode("utf-8"))
         tiers = read_textgrid(p)
         assert tiers[0].intervals[0].label == "ete"
+
+    @pytest.mark.parametrize("blob,line,message", [
+        (b"\xef\xbb\xbfFile type\ncaf\xe9\n", 2, "invalid UTF-8 at byte 16: invalid continuation byte"),
+        ("File\r\ntype".encode("utf-16") + b"\x00", 2, "invalid UTF-16 at byte 22: truncated data"),
+        (b"\xfe\xff\x00a\xdc\x00", 1, "invalid UTF-16 at byte 4: illegal encoding"),
+    ])
+    def test_decode_error_names_the_file_and_line(self, tmp_path, blob, line, message):
+        p = tmp_path / "bad.TextGrid"
+        p.write_bytes(blob)
+        with pytest.raises(TextGridParseError) as err:
+            read_textgrid(p)
+        assert str(err.value) == f"line {line}: {p}: {message}"
+
+    def test_latin1_without_a_bom(self, tmp_path):
+        p = tmp_path / "g.TextGrid"
+        p.write_bytes(long_textgrid([(0.0, 1.0, "déjà")]).encode("latin-1"))
+        assert read_textgrid(p)[0].intervals[0].label == "déjà"
 
     @pytest.mark.parametrize("label", ["a\u2028b", "a\x85b", "a\x0cb", "a\x1eb", "\u2028"])
     def test_only_newlines_break_lines(self, tmp_path, label):
