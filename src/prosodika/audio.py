@@ -88,11 +88,13 @@ def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int) -> np
         raise UnsupportedFormatError(f"{path}: {bits}-bit integer WAV not supported")
     raw = raw[: len(raw) - len(raw) % (bits // 8)]  # drop a partial last sample (a view)
     if audio_format == 3:  # IEEE float
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(data))
+        single = np.frombuffer(raw, dtype="<f4")
+        # checked before the cast: casting a signalling NaN raises the FP invalid flag
+        bad = np.flatnonzero(~np.isfinite(single))
         if bad.size:
             # one NaN would spread through peak normalization to every sample
             raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
+        data = single.astype(np.float64)
         return np.clip(data, -1.0, 1.0, out=data)
     if bits == 8:
         data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)

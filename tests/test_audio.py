@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from prosodika.audio import (
     AudioBuffer,
@@ -175,6 +175,7 @@ class TestBitExactDecode:
             load_wav(path)
 
     @given(st.sampled_from(LAYOUTS), st.sampled_from([1, 2]), st.binary(max_size=64))
+    @example((32, 3), 1, b"\x00\x00\x81\x7f")  # a signalling NaN
     def test_random_payloads(self, tmp_path_factory, layout, channels, data):
         bits, audio_format = layout
         path = tmp_path_factory.mktemp("wav") / "r.wav"
