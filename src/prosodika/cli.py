@@ -103,9 +103,9 @@ def _parse_breaks(text: str) -> metrics.BreakPrediction:
         raise ValueError("'positions' and 'probabilities' must be lists")
     return metrics.BreakPrediction(
         word_count=json_number(data["word_count"], "word_count", integer=True),
-        positions=frozenset(json_number(i, "positions", integer=True) for i in positions),
+        positions=frozenset(_json_numbers(positions, "positions", integer=True)),
         probabilities=None if probs is None else tuple(
-            float(json_number(p, "probabilities")) for p in probs),
+            map(float, _json_numbers(probs, "probabilities"))),
     )
 
 
@@ -113,7 +113,19 @@ def _parse_timings(text: str) -> list[float]:
     starts = load_json(text)
     if not isinstance(starts, list) or not starts:
         raise ValueError("expected a non-empty list of word start times in ms")
-    return [float(json_number(v, "word start time")) for v in starts]
+    return list(map(float, _json_numbers(starts, "word start time")))
+
+
+def _json_numbers(values: list, key: str, integer: bool = False) -> list:
+    """``values`` if json_number accepts each of them, else its ValueError for
+    the first it rejects. One pass checks the whole list; json_number runs
+    only to name the bad value."""
+    kinds = {int} if integer else {int, float}
+    if not ({type(v) for v in values} <= kinds
+            and all(-sys.float_info.max <= v <= sys.float_info.max for v in values)):
+        for v in values:
+            json_number(v, key, integer)
+    return values
 
 
 def _finite(ctx, param, value: float) -> float:

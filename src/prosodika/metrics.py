@@ -152,8 +152,11 @@ def _node_text(nodes: tuple) -> str:
 
 
 def _syntagm_record(node: ProsodyElement, break_ms: int | None) -> SyntagmRecord:
+    children = node.children
+    # the common case, a lone run of text, skips the walk
+    alone = len(children) == 1 and type(children[0]) is TextNode
     return SyntagmRecord(
-        text=" ".join(_node_text(node.children).split()),
+        text=" ".join((children[0].content if alone else _node_text(children)).split()),
         pitch_pct=node.pitch_pct or 0.0,
         rate_pct=node.rate_pct or 0.0,
         volume_pct=node.volume_pct or 0.0,
@@ -254,15 +257,16 @@ class TagCensus:
 
 def _count_tags(nodes: tuple, counts: dict):
     for node in nodes:
-        if isinstance(node, ProsodyElement):
+        kind = type(node)  # node classes are never subclassed
+        if kind is ProsodyElement:
             counts["prosody"] += 1
             _count_tags(node.children, counts)
-        elif isinstance(node, BreakElement):
+        elif kind is BreakElement:
             counts["break"] += 1
-        elif isinstance(node, TextNode):
+        elif kind is TextNode:
             counts["words"] += len(node.content.split())
             counts["chars"] += len(node.content)
-        elif isinstance(node, OpaqueElement):
+        elif kind is OpaqueElement:
             _count_tags(node.children, counts)
 
 

@@ -12,6 +12,9 @@ Parsing reads each line with expat inside a __root__ wrapper element and
 builds the subset's nodes through a tag table; other elements stay opaque,
 attributes in document order. Comments, CDATA sections and entity references
 join the text around them; each run of text is one whitespace-normalized node.
+Each parse or parse_corpus call makes one line reader, whose handlers and tag
+table serve all its lines. The reader remembers the value of each percentage
+and time it has parsed, for that call only; an error is never remembered.
 
 Serialization is single-line and deterministic: percent attributes are signed
 with two decimals, break times are integer milliseconds, text whitespace is
@@ -291,50 +294,66 @@ def _parse_ms(what: str, raw: str, unit_required: bool) -> int:
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>\s*")
 _ROOT_TAG = "<__root__>"  # wraps each line so that a fragment is one XML element
 _PCT_ATTRS = ("pitch", "rate", "volume")
-
-
-def _prosody(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
-    pct = {k: _parse_pct(k, v) for k, v in attrs.items() if k in _PCT_ATTRS}
-    return ProsodyElement(pct.get("pitch"), pct.get("rate"), pct.get("volume"), tuple(children),
-                          tuple((k, v) for k, v in attrs.items() if k not in pct))
-
-
-def _break(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
-    if "time" not in attrs:
-        raise ValueError("break element is missing its time attribute")
-    return BreakElement(_parse_ms("break time", attrs["time"], unit_required=True))
-
-
-def _silence(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
-    if attrs.get("type") not in (LEADING_EXACT, TRAILING_EXACT):
-        return _opaque(tag, attrs, children)
-    return SilenceDirective(attrs["type"],
-                            _parse_ms("silence value", attrs.get("value", "0"), False))
-
-
-def _opaque(tag: str, attrs: dict[str, str], children: list[Node]) -> Node:
-    return OpaqueElement(tag, tuple(attrs.items()), tuple(children))
-
-
-# the subset's elements: tag -> builder of the node; any other tag is opaque
-_ELEMENTS = {"prosody": _prosody, "break": _break, "mstts:silence": _silence}
 # envelopes: tag -> the attribute the document keeps; their children join the
 # parent's, and the outermost envelope that has the attribute sets it
 _ENVELOPES = {"__root__": None, "speak": "xml:lang", "voice": "name"}
 
 
-def _parse_line(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
-    """Nodes, language and voice of one line of SSML."""
-    decl = _XML_DECL_RE.match(text)
-    base = decl.end() if decl else 0
-    # a lone surrogate passes into the bytes, where expat rejects it as an invalid token
-    raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8", "surrogatepass")
-    root: list[Node] = []
-    stack = [("__root__", {}, root, 0)]  # open elements: (tag, attrs, children, byte index)
-    found: dict[str, str | None] = {"xml:lang": None, "name": None}
+def _line_reader():
+    """A reader for the lines of one parse or parse_corpus call: ``read(line)``
+    gives the line's nodes, language and voice. Its expat handlers and tag
+    table are made once and serve every line; each line gets its own expat
+    parser. It remembers each number it parsed, keyed by the parse function
+    and all its arguments, for this call only: a corpus repeats few distinct
+    values, and an error is never remembered, so each bad value raises afresh."""
+    memo: dict[tuple, float] = {}  # (parse function, *its arguments) -> its value
+    stack: list = []  # open elements: (attrs, children, byte index)
+    found: dict[str, str | None] = {}
+    parser = raw = base = None  # the line being read
+
+    def number(parse, *args) -> float:
+        key = (parse, *args)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = parse(*args)
+        return value
+
+    # builders: each appends its element's node, or its children, to the parent's
+    def prosody(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
+        # in document order, so that the first bad value raises
+        values = {k: number(_parse_pct, k, v) for k, v in attrs.items() if k in _PCT_ATTRS}
+        extra = () if len(values) == len(attrs) else tuple(
+            (k, v) for k, v in attrs.items() if k not in values)
+        parent.append(ProsodyElement(values.get("pitch"), values.get("rate"),
+                                     values.get("volume"), tuple(children), extra))
+
+    def brk(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
+        if "time" not in attrs:
+            raise ValueError("break element is missing its time attribute")
+        parent.append(BreakElement(number(_parse_ms, "break time", attrs["time"], True)))
+
+    def silence(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
+        if attrs.get("type") not in (LEADING_EXACT, TRAILING_EXACT):
+            return opaque(tag, attrs, children, parent)
+        value = number(_parse_ms, "silence value", attrs.get("value", "0"), False)
+        parent.append(SilenceDirective(attrs["type"], value))
+
+    def opaque(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
+        parent.append(OpaqueElement(tag, tuple(attrs.items()), tuple(children)))
+
+    def envelope(key: str | None):
+        def unwrap(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
+            if key in attrs:
+                found[key] = attrs[key]
+            parent.extend(children)
+        return unwrap
+
+    # the subset's elements and the envelopes; any other tag is opaque
+    builders = {"prosody": prosody, "break": brk, "mstts:silence": silence,
+                **{tag: envelope(key) for tag, key in _ENVELOPES.items()}}
 
     def offset(byte_idx: int) -> int:
-        """Character offset in ``text`` of a byte index into ``raw`` (slow: errors only)."""
+        """Character offset in the line of a byte index into ``raw`` (slow: errors only)."""
         prefix = raw[: max(0, byte_idx)].decode("utf-8", errors="ignore")
         return max(0, len(prefix) - len(_ROOT_TAG)) + base
 
@@ -343,46 +362,50 @@ def _parse_line(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
         if len(stack) > MAX_DEPTH + 1:
             raise SsmlParseError(f"elements nested more than {MAX_DEPTH} deep",
                                  offset(parser.CurrentByteIndex))
-        stack.append((tag, attrs, [], parser.CurrentByteIndex))
+        stack.append((attrs, [], parser.CurrentByteIndex))
 
     def chars(data: str):
         norm = _norm_text(data)
         if norm:
-            stack[-1][2].append(TextNode(norm))
+            stack[-1][1].append(TextNode(norm))
 
     def end(tag: str):
-        _, attrs, children, byte_idx = stack.pop()
-        parent = stack[-1][2]
-        if tag in _ENVELOPES:
-            key = _ENVELOPES[tag]
-            if key in attrs:
-                found[key] = attrs[key]
-            parent.extend(children)
-            return
+        attrs, children, byte_idx = stack.pop()
         try:
-            parent.append(_ELEMENTS.get(tag, _opaque)(tag, attrs, children))
+            builders.get(tag, opaque)(tag, attrs, children, stack[-1][1])
         except ValueError as exc:
             raise SsmlParseError(str(exc), offset(byte_idx)) from None
 
-    parser = expat.ParserCreate()
-    # one CharacterDataHandler call per run of text: pyexpat flushes its
-    # buffer before each element handler, and no run outgrows the line
-    parser.buffer_size = len(raw)
-    parser.buffer_text = True
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-    try:
-        parser.Parse(raw, True)
-    except expat.ExpatError as exc:
-        raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
-                             offset(parser.ErrorByteIndex)) from None
-    return tuple(root), found["xml:lang"], found["name"]
+    def read(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
+        nonlocal parser, raw, base
+        decl = _XML_DECL_RE.match(text)
+        base = decl.end() if decl else 0
+        # a lone surrogate passes into the bytes, where expat rejects it as an invalid token
+        raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8", "surrogatepass")
+        root: list[Node] = []
+        stack[:] = [({}, root, 0)]
+        found["xml:lang"] = found["name"] = None
+        parser = expat.ParserCreate()
+        # one CharacterDataHandler call per run of text: pyexpat flushes its
+        # buffer before each element handler, and no run outgrows the line
+        parser.buffer_size = len(raw)
+        parser.buffer_text = True
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        parser.CharacterDataHandler = chars
+        try:
+            parser.Parse(raw, True)
+        except expat.ExpatError as exc:
+            raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
+                                 offset(parser.ErrorByteIndex)) from None
+        return tuple(root), found["xml:lang"], found["name"]
+
+    return read
 
 
 def parse(text: str) -> SsmlDocument:
     """Parse one SSML fragment or document into a single-segment document."""
-    nodes, lang, voice = _parse_line(text)
+    nodes, lang, voice = _line_reader()(text)
     return SsmlDocument(segments=(nodes,), lang=lang, voice=voice)
 
 
@@ -390,13 +413,14 @@ def parse_corpus(text: str) -> SsmlDocument:
     """Parse a corpus file: one SSML fragment or document per non-blank line,
     each line becoming one segment. An error names its line, counting blank
     lines."""
+    read = _line_reader()
     segments: list[tuple[Node, ...]] = []
     lang = voice = None
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:
-            nodes, seg_lang, seg_voice = _parse_line(line)
+            nodes, seg_lang, seg_voice = read(line)
         except SsmlParseError as exc:
             raise SsmlParseError(exc.args[0], exc.offset, lineno) from None
         segments.append(nodes)

@@ -3,8 +3,8 @@
 One rule reads both formats, as in Praat: blank lines and list headers (a
 line that is only ``name [k]:`` or ``name []:``, such as ``item [1]:``) are
 skipped, a value is taken after its ``=`` when it has one, and only blank
-lines may follow the last tier. Only IntervalTiers are returned (point tiers
-are read and skipped). Labels keep their text verbatim, with Praat's ""
+lines may follow the last tier. Counts must be whole numbers. Only
+IntervalTiers are returned (point tiers are read and skipped). Labels keep their text verbatim, with Praat's ""
 quote escapes unescaped. A file is UTF-16 after a UTF-16 BOM, UTF-8 with or
 without a BOM, and else Latin-1. Failures raise TextGridParseError carrying
 the 1-based line number, and the file's path when read_textgrid read it.
@@ -53,17 +53,14 @@ class TextGridTier:
 
 class _Cursor:
     """Line cursor that skips blank lines and list headers. After each read,
-    ``lead`` is the line after the last non-blank line before the value."""
+    ``line`` is the line the value starts on and ``lead`` the line after the
+    last non-blank line before it."""
 
     def __init__(self, text: str):
         # each line keeps its own terminator, which read_string copies into a
         # label that spans lines
         self.lines = io.StringIO(text, newline="").readlines()
         self.pos = 0
-
-    @property
-    def lineno(self) -> int:
-        return min(self.pos + 1, len(self.lines))
 
     def next_content_line(self, context: str) -> tuple[int, str]:
         self.lead = self.pos + 1
@@ -74,6 +71,7 @@ class _Cursor:
             if text.endswith(":") and _LIST_HEADER_RE.fullmatch(text):
                 self.lead = self.pos + 1
             elif text:
+                self.line = self.pos
                 return self.pos, raw
         raise TextGridParseError(f"unexpected end of file while reading {context}",
                                  max(1, len(self.lines)))
@@ -89,6 +87,13 @@ class _Cursor:
         except ValueError:
             raise TextGridParseError(f"expected a number for {context}, got {raw.strip()!r}",
                                      lineno) from None
+
+    def read_count(self, context: str) -> int:
+        number = self.read_number(context)
+        if not number.is_integer():
+            raise TextGridParseError(f"expected a whole number for {context}, got {number!r}",
+                                     self.line)
+        return int(number)
 
     def read_string(self, context: str) -> str:
         lineno, raw = self.next_content_line(context)
@@ -138,16 +143,17 @@ def parse_textgrid(text: str) -> list[TextGridTier]:
         message = ("tierless TextGrid has no interval tiers" if "<absent>" in raw
                    else "expected tiers? <exists> flag")
         raise TextGridParseError(message, lineno)
-    n_tiers = int(cur.read_number("tier count"))
+    n_tiers = cur.read_count("tier count")
 
     tiers: list[TextGridTier] = []
     for _ in range(n_tiers):
         tier_class = cur.read_string("tier class")
+        class_line = cur.line
         name = cur.read_string("tier name")
         tier_start = cur.read_number("tier start time")
         tier_end = cur.read_number("tier end time")
         if tier_class == "IntervalTier":
-            n_items = int(cur.read_number("interval count"))
+            n_items = cur.read_count("interval count")
             if n_items < 0:
                 raise TextGridParseError("negative interval count", cur.lead)
             intervals = []
@@ -169,12 +175,12 @@ def parse_textgrid(text: str) -> list[TextGridTier]:
                 intervals.append(TextGridInterval(xmin, xmax, label))
             tiers.append(TextGridTier(name, tier_start, tier_end, tuple(intervals)))
         elif tier_class == "TextTier":
-            n_items = int(cur.read_number("point count"))
+            n_items = cur.read_count("point count")
             for _ in range(n_items):
                 cur.read_number("point time")
                 cur.read_string("point mark")
         else:
-            raise TextGridParseError(f"unknown tier class {tier_class!r}", cur.lineno)
+            raise TextGridParseError(f"unknown tier class {tier_class!r}", class_line)
     for lineno, raw in enumerate(cur.lines[cur.pos :], start=cur.pos + 1):
         if raw.strip():
             raise TextGridParseError(f"unexpected {raw.strip()!r} after the last tier", lineno)

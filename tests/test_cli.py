@@ -592,6 +592,40 @@ def _score_side(kind, pred, gold=None):
     return build
 
 
+# bad JSON numbers, as the error shows them (a repr cut at 40 characters)
+BAD_JSON_NUMBERS = [("true", "True"), ("NaN", "nan"), ("1e400", "inf"),
+                    ("1" + "0" * 400, "1" + "0" * 39), ('"x"', "'x'")]
+
+
+@pytest.mark.parametrize("raw,shown", BAD_JSON_NUMBERS, ids=[r[0][:5] for r in BAD_JSON_NUMBERS])
+@pytest.mark.parametrize("kind,template,what", [
+    ("timings", "[0.0, {bad}, NaN]", "'word start time' must be a number"),
+    ("breaks", '{{"word_count": 2, "positions": [1, {bad}, "y"]}}', "'positions' must be an integer"),
+    ("breaks", '{{"word_count": 2, "positions": [1], "probabilities": [0.5, {bad}]}}',
+     "'probabilities' must be a number"),
+], ids=["timings", "positions", "probabilities"])
+def test_score_names_the_first_bad_json_number(runner, tmp_path, kind, template, what, raw,
+                                               shown):
+    args, bad = _score_side(kind, template.format(bad=raw))(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.output.splitlines()[-1] == f"error: {bad}: {what}, got {shown}"
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("timings", "[0.0, -1]", None),
+    ("breaks", '{"word_count": 2, "positions": [-1]}', "break positions must lie in [0, word_count)"),
+    ("breaks", '{"word_count": 2, "positions": [1], "probabilities": [0.5, -1]}',
+     "probabilities must lie in [0, 1]"),
+])
+def test_score_negative_json_numbers(runner, tmp_path, kind, text, message):
+    args, bad = _score_side(kind, text)(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == (0 if message is None else 3), result.output
+    if message is not None:
+        assert result.output.splitlines()[-1] == f"error: {bad}: {message}"
+
+
 def _stats(line):
     def build(root):
         good = json.dumps({"text": "a", "pitch_pct": 0, "rate_pct": 0, "volume_pct": 0,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from prosodika import ssml
 from prosodika.prosody import PipelineConfig, ProsodyDelta
 from prosodika.ssml import (
     BreakElement,
@@ -272,6 +273,43 @@ class TestParseCorpus:
         # XML forbids the character, so the line is malformed rather than split in two
         with pytest.raises(SsmlParseError, match="line 1, offset 22"):
             parse_corpus('<break time="1ms"/>mot\x0cdeux<break time="2ms"/>')
+
+    @pytest.mark.parametrize("bad,message", [
+        ('<prosody pitch="+1.00%"/><prosody pitch="+1.00">b</prosody>',
+         "pitch value '+1.00' is missing the % suffix"),
+        ('<break time="2ms"/><break time="2 s"/>', "non-numeric break time '2 s'"),
+    ])
+    def test_a_bad_value_on_two_lines_names_the_first(self, bad, message):
+        # the good value before it is a remembered parse; the bad one is parsed afresh
+        offset = bad.index("/>") + 2
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus(f"mot\n\n{bad}\n{bad}\n")
+        assert (err.value.args[0], err.value.offset, err.value.line) == (message, offset, 3)
+        with pytest.raises(SsmlParseError) as alone:
+            parse(bad)
+        assert (alone.value.args[0], alone.value.offset) == (message, offset)
+
+    def test_remembered_numbers_keep_their_unit_rule(self):
+        # a bare number is a silence value in ms but not a break time
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus('<mstts:silence type="leading-exact" value="200"/>\n'
+                         '<break time="200"/>')
+        assert (err.value.args[0], err.value.line) == (
+            "break time '200' is missing its ms/s unit", 2)
+
+    @pytest.mark.parametrize("parser", [parse, parse_corpus])
+    def test_calls_share_no_number_memo(self, monkeypatch, parser):
+        seen = []
+
+        def parse_pct(name, raw):
+            seen.append(raw)
+            return real(name, raw)
+
+        real = ssml._parse_pct
+        monkeypatch.setattr(ssml, "_parse_pct", parse_pct)
+        text = '<prosody pitch="+1.00%">a</prosody>\n<prosody pitch="+1.00%">b</prosody>'
+        assert parser(text) == parser(text)
+        assert seen == ["+1.00%", "+1.00%"]  # once in each call
 
 
 class TestValidate:

@@ -124,15 +124,15 @@ class TestErrors:
         assert message in str(err.value)
 
     def test_content_after_the_last_tier_names_its_line(self):
-        # without its tier xmin/xmax lines, the tier would read the interval
-        # count and the first interval's times as its own values
+        # without its tier xmax line, the tier reads the interval count as its
+        # end and the first interval's start, 0.0, as its interval count
         lines = short_textgrid(THREE).splitlines()
-        assert lines[9:11] == ["0.0", "1.5"]
-        del lines[9:11]
+        assert lines[10] == "1.5"
+        del lines[10]
         with pytest.raises(TextGridParseError) as err:
             parse_textgrid("\n".join(lines) + "\n\n")
         assert err.value.line == 13
-        assert "\'\"a\"\' after the last tier" in str(err.value)
+        assert "'0.5' after the last tier" in str(err.value)
 
     def test_only_blank_lines_may_follow_the_last_tier(self):
         assert parse_textgrid(short_textgrid(MINIMAL) + "\n  \r\n\n") == parse_textgrid(
@@ -182,6 +182,38 @@ class TestErrors:
         with pytest.raises(TextGridParseError) as err:
             parse_textgrid(text)
         assert err.value.line == 7
+
+    @pytest.mark.parametrize("make,old,new,line", [
+        (long_textgrid, 'class = "IntervalTier"', 'class = "Foo"', 10),
+        (short_textgrid, '"IntervalTier"', '"Foo"', 8),
+    ])
+    def test_unknown_tier_class_names_its_line(self, make, old, new, line):
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(make(MINIMAL).replace(old, new))
+        assert (err.value.line, err.value.args[0]) == (line, "unknown tier class 'Foo'")
+
+    @pytest.mark.parametrize("old,new,line,context", [
+        ("size = 1", "size = 1.5", 7, "tier count"),
+        ("intervals: size = 2", "intervals: size = 1.5", 14, "interval count"),
+        ("intervals: size = 2", "intervals: size = 2.0", None, None),
+    ])
+    def test_counts_must_be_whole_numbers(self, old, new, line, context):
+        text = long_textgrid(MINIMAL).replace(old, new)
+        if line is None:
+            assert parse_textgrid(text) == parse_textgrid(long_textgrid(MINIMAL))
+            return
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(text)
+        assert (err.value.line, err.value.args[0]) == (
+            line, f"expected a whole number for {context}, got 1.5")
+
+    def test_point_count_must_be_a_whole_number(self):
+        text = with_point_tier(long_textgrid(MINIMAL)).replace("points: size = 1",
+                                                               "points: size = 0.5")
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(text)
+        assert (err.value.line, err.value.args[0]) == (
+            28, "expected a whole number for point count, got 0.5")
 
     def test_overlapping_intervals(self):
         bad = long_textgrid([(0.0, 1.0, "a"), (0.5, 2.0, "b")])
