@@ -4,10 +4,11 @@ One rule reads both formats, as in Praat: blank lines and list headers (a
 line that is only ``name [k]:`` or ``name []:``, such as ``item [1]:``) are
 skipped, a value is taken after its ``=`` when it has one, and only blank
 lines may follow the last tier. Counts must be whole numbers. Only
-IntervalTiers are returned (point tiers are read and skipped). Labels keep their text verbatim, with Praat's ""
-quote escapes unescaped. A file is UTF-16 after a UTF-16 BOM, UTF-8 with or
-without a BOM, and else Latin-1. Failures raise TextGridParseError carrying
-the 1-based line number, and the file's path when read_textgrid read it.
+IntervalTiers are returned (point tiers are read and skipped). Labels keep
+their text verbatim, with Praat's "" quote escapes unescaped. A file is
+UTF-16 after a UTF-16 BOM, UTF-8 with or without a BOM, and else Latin-1.
+Failures raise TextGridParseError carrying the 1-based line number, and the
+file's path when read_textgrid read it.
 """
 
 from __future__ import annotations

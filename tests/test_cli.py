@@ -600,7 +600,8 @@ BAD_JSON_NUMBERS = [("true", "True"), ("NaN", "nan"), ("1e400", "inf"),
 @pytest.mark.parametrize("raw,shown", BAD_JSON_NUMBERS, ids=[r[0][:5] for r in BAD_JSON_NUMBERS])
 @pytest.mark.parametrize("kind,template,what", [
     ("timings", "[0.0, {bad}, NaN]", "'word start time' must be a number"),
-    ("breaks", '{{"word_count": 2, "positions": [1, {bad}, "y"]}}', "'positions' must be an integer"),
+    ("breaks", '{{"word_count": 2, "positions": [1, {bad}, "y"]}}',
+     "'positions' must be an integer"),
     ("breaks", '{{"word_count": 2, "positions": [1], "probabilities": [0.5, {bad}]}}',
      "'probabilities' must be a number"),
 ], ids=["timings", "positions", "probabilities"])
@@ -614,7 +615,8 @@ def test_score_names_the_first_bad_json_number(runner, tmp_path, kind, template,
 
 @pytest.mark.parametrize("kind,text,message", [
     ("timings", "[0.0, -1]", None),
-    ("breaks", '{"word_count": 2, "positions": [-1]}', "break positions must lie in [0, word_count)"),
+    ("breaks", '{"word_count": 2, "positions": [-1]}',
+     "break positions must lie in [0, word_count)"),
     ("breaks", '{"word_count": 2, "positions": [1], "probabilities": [0.5, -1]}',
      "probabilities must lie in [0, 1]"),
 ])
