@@ -14,6 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import (  # noqa: F401 - re-exported
+    AudioError,
+    UnreadableFileError,
+    UnsupportedFormatError,
+    UnsupportedRateError,
+)
+
 TARGET_RATE = 16_000
 
 # silence gate defaults (threshold relative to digital full scale)
@@ -21,22 +28,6 @@ SILENCE_THRESHOLD_DBFS = -35.0
 MIN_GAP_MS = 300
 RMS_WINDOW_MS = 25
 RMS_HOP_MS = 10
-
-
-class AudioError(Exception):
-    """Base class for audio I/O and format errors."""
-
-
-class UnreadableFileError(AudioError):
-    """File missing, truncated, or not a RIFF/WAVE container."""
-
-
-class UnsupportedFormatError(AudioError):
-    """WAV codec or layout this reader does not handle."""
-
-
-class UnsupportedRateError(AudioError):
-    """Source sample rate zero or below the supported minimum."""
 
 
 @dataclass(frozen=True, eq=False)

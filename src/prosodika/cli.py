@@ -27,8 +27,8 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from . import metrics, pipeline, ssml
-from .audio import AudioError, UnreadableFileError, detect_speech_segments
+from . import metrics, ssml
+from .errors import AudioError, UnreadableFileError
 from .prosody import (
     FLAG_INJECTED_BREAK,
     PairingError,
@@ -36,6 +36,7 @@ from .prosody import (
     json_number,
     load_json,
     read_delta_records,
+    write_atomic,
 )
 from .syntagms import FunctionWordLexicon
 from .textgrid import TextGridParseError, split_lines
@@ -168,10 +169,13 @@ def main():
               help="Silences shorter than this merge into speech.")
 def segment(audio, output, threshold_dbfs, min_gap_ms):
     """Detect speech segments in a WAV file."""
+    from . import pipeline
+    from .audio import detect_speech_segments
+
     bounds = detect_speech_segments(pipeline.prepare_audio(audio), threshold_dbfs, min_gap_ms)
     lines = "".join(f"{b.start_ms}\t{b.end_ms}\n" for b in bounds)
     if output:
-        pipeline.write_atomic(Path(output), lines)
+        write_atomic(Path(output), lines)
     else:
         click.echo(lines, nl=False)
 
@@ -180,6 +184,8 @@ def _annotate_one(args):
     """Annotate and write one pair: its PairResult, or the exit code and message
     of its failure, so no exception crosses the process pool (a bug's message
     is its traceback)."""
+    from . import pipeline
+
     pair, cfg, lexicon, emit_options = args
     try:
         result = pipeline.annotate_pair(pair, cfg, lexicon, emit_options)
@@ -228,6 +234,9 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     if not full_document and (click.get_current_context().get_parameter_source("voice")
                               is not ParameterSource.DEFAULT):
         raise click.BadParameter("given without --full-document", param_hint="'--voice'")
+    # numpy loads with pipeline here, not with the CLI, so text commands start without it
+    from . import pipeline
+
     pairs, manifest_overrides = pipeline.load_manifest(manifest)
     if not pairs:
         _fail(EXIT_EMPTY, "manifest contains no pairs")
@@ -321,9 +330,7 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
     )
     click.echo(report.table(tau_ms, window_s))
     if output:
-        pipeline.write_atomic(
-            Path(output), json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_atomic(Path(output), json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @main.command()
@@ -367,9 +374,9 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
             "totals": totals,
             "distributions": {k: v.to_dict() for k, v in summaries.items()},
         }
-        pipeline.write_atomic(Path(output), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(Path(output), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if histogram_csv:
-        pipeline.write_atomic(Path(histogram_csv), metrics.histogram_csv(summaries))
+        write_atomic(Path(histogram_csv), metrics.histogram_csv(summaries))
 
 
 @main.command()

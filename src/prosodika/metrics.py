@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .prosody import PairingError
 from .ssml import (
@@ -186,14 +186,32 @@ def document_syntagms(doc: SsmlDocument) -> list[list[SyntagmRecord]]:
     return out
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of ``values`` in numpy's pairwise order for float64, so that a mean
+    has np.mean's bits: a plain loop below 8 items, 8 strided accumulators up
+    to 128, else halves split at a multiple of 8. Not sum(), which compensates
+    float sums from Python 3.12."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[j:m:8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[m:], head)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 def _error_stats(diffs: list[float]) -> ErrorStats:
-    if not diffs:
+    """MAE and RMSE of ``diffs``, bit for bit as np.mean would give them."""
+    n = len(diffs)
+    if not n:
         return ErrorStats(0.0, 0.0, 0)
-    arr_ = np.asarray(diffs, dtype=np.float64)
     return ErrorStats(
-        mae=float(np.mean(np.abs(arr_))),
-        rmse=float(np.sqrt(np.mean(arr_ * arr_))),
-        count=len(diffs),
+        mae=_pairwise_sum([abs(d) for d in diffs]) / n,
+        rmse=math.sqrt(_pairwise_sum([d * d for d in diffs]) / n),
+        count=n,
     )
 
 
@@ -382,6 +400,8 @@ def summarize(values: list[float], n_bins: int = 20) -> DistributionSummary:
     method; the median uses midpoint interpolation for even counts."""
     if not values:
         raise ValueError("cannot summarize an empty distribution")
+    import numpy as np  # only stats needs it; score and census start without it
+
     arr_ = np.asarray(values, dtype=np.float64)
     lo, hi = float(arr_.min()), float(arr_.max())
     if lo == hi:

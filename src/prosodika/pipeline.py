@@ -9,7 +9,6 @@ are byte-identical.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,6 +31,7 @@ from .prosody import (
     delta_record,
     deltas_to_jsonl,
     load_json,
+    write_atomic,
 )
 from .ssml import EmitOptions, emit
 from .syntagms import (
@@ -262,13 +262,6 @@ def annotate_pair(
         ssml_lines=ssml_lines,
         log_lines=log_lines,
     )
-
-
-def write_atomic(path: Path, content: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def write_pair_result(result: PairResult, out_dir: Path):

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .syntagms import Syntagm
 from .textgrid import split_lines
@@ -213,8 +215,9 @@ def annotate_corpus(
 
     The two streams must be the same transcript: equal length and matching
     word sequences (case-insensitive). Missing features (unvoiced pitch,
-    silent loudness) yield a raw delta of 0 and a flag, not an error, so one
-    bad syntagm cannot abort a run; smoothing can still move a flagged pitch.
+    silent loudness) yield a delta of 0 and a flag, not an error, so one
+    bad syntagm cannot abort a run. Only measured pitches are smoothed, so a
+    flagged syntagm leaves its neighbours' pitch as if it were absent.
     """
     if len(nat) != len(syn):
         raise PairingError(
@@ -231,7 +234,7 @@ def annotate_corpus(
     if not nat:
         return []
 
-    pitch_raw: list[float] = []
+    pitch_raw: list[float] = []  # measured pitches only
     rate_raw: list[float] = []
     volumes: list[float] = []
     flag_sets: list[tuple[str, ...]] = []
@@ -242,7 +245,8 @@ def annotate_corpus(
     ):
         has_pitch = feats_nat.median_f0_hz is not None and f0_base is not None
         has_loud = feats_syn.loudness_lufs is not None and loud_base is not None
-        pitch_raw.append(pitch_delta(feats_nat.median_f0_hz, f0_base, cfg) if has_pitch else 0.0)
+        if has_pitch:
+            pitch_raw.append(pitch_delta(feats_nat.median_f0_hz, f0_base, cfg))
         volumes.append(volume_delta(loud_base, feats_syn.loudness_lufs, cfg) if has_loud else 0.0)
         rate_raw.append(
             rate_delta(s_nat.word_count, s_nat.net_duration_s, s_syn.net_duration_s, cfg)
@@ -253,10 +257,12 @@ def annotate_corpus(
             (FLAG_INJECTED_BREAK, s_nat.pause_injected),
         ) if raised))
 
+    smoothed = iter(smooth_series(pitch_raw, cfg) if pitch_raw else ())
+    pitches = [0.0 if FLAG_NO_PITCH in flags else next(smoothed) for flags in flag_sets]
     return [
         ProsodyDelta(pitch, rate, volume, s_nat.trailing_pause_ms, flags)
         for pitch, rate, volume, (s_nat, _), flags in zip(
-            smooth_series(pitch_raw, cfg), smooth_series(rate_raw, cfg), volumes, nat, flag_sets
+            pitches, smooth_series(rate_raw, cfg), volumes, nat, flag_sets
         )
     ]
 
@@ -285,6 +291,15 @@ def delta_record(text: str, delta: ProsodyDelta, **extra) -> dict:
 def deltas_to_jsonl(records: list[dict]) -> str:
     lines = [json.dumps(rec, ensure_ascii=False, sort_keys=True) for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_atomic(path: Path, content: str):
+    """Write ``content`` as UTF-8 to ``path`` through a temporary file and a
+    rename, so that no reader sees it half written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp.write_text(content, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_json(text: str):

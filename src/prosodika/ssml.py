@@ -29,7 +29,6 @@ import math
 import re
 from dataclasses import dataclass
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from .prosody import PipelineConfig, ProsodyDelta
 from .textgrid import split_lines
@@ -51,8 +50,26 @@ MAX_DEPTH = 100
 # may round a value by up to half a unit in the last place
 _QUANT_EPS = 0.005 + 1e-9
 
-# escape() entities for text and for double-quoted attribute values
-_QUOT = {'"': "&quot;"}
+
+def _escape(text: str) -> str:
+    """Text or a double-quoted attribute value with ``& < > "`` as entities:
+    ``xml.sax.saxutils.escape(text, {'"': "&quot;"})``, whose module would
+    load urllib and email with it."""
+    return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            .replace('"', "&quot;"))
+
+
+def _quoteattr(value: str) -> str:
+    """``xml.sax.saxutils.quoteattr(value)``: an attribute value in quotes,
+    double unless it holds ``"`` and no ``'``, with newlines and tabs as
+    character references."""
+    value = (value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 class SsmlParseError(Exception):
@@ -222,17 +239,17 @@ def emit_document(doc: SsmlDocument) -> str:
 def _render_segment(nodes: tuple[Node, ...], lang: str | None, voice: str | None) -> str:
     body = "".join(_render_node(n) for n in nodes)
     if voice is not None:
-        body = f'<voice name="{escape(voice, _QUOT)}">{body}</voice>'
+        body = f'<voice name="{_escape(voice)}">{body}</voice>'
     if lang is None and voice is None:
         return body
-    lang_attr = "" if lang is None else f' xml:lang="{escape(lang, _QUOT)}"'
+    lang_attr = "" if lang is None else f' xml:lang="{_escape(lang)}"'
     return (f'<speak version="1.0" xmlns="{SPEAK_XMLNS}" xmlns:mstts="{MSTTS_XMLNS}"'
             f"{lang_attr}>{body}</speak>")
 
 
 def _render_node(node: Node) -> str:
     if isinstance(node, TextNode):
-        return escape(node.content, _QUOT)
+        return _escape(node.content)
     if isinstance(node, BreakElement):
         return f'<break time="{node.time_ms}ms"/>'
     if isinstance(node, SilenceDirective):
@@ -246,12 +263,12 @@ def _render_node(node: Node) -> str:
         ):
             if value is not None:
                 attrs.append(f'{name}="{_fmt_pct(value)}"')
-        attrs.extend(f"{k}={quoteattr(v)}" for k, v in node.extra_attrs)
+        attrs.extend(f"{k}={_quoteattr(v)}" for k, v in node.extra_attrs)
         inner = "".join(_render_node(c) for c in node.children)
         head = "<prosody " + " ".join(attrs) if attrs else "<prosody"
         return f"{head}>{inner}</prosody>"
     if isinstance(node, OpaqueElement):
-        attrs = "".join(f" {k}={quoteattr(v)}" for k, v in node.attrs)
+        attrs = "".join(f" {k}={_quoteattr(v)}" for k, v in node.attrs)
         if not node.children:
             return f"<{node.tag}{attrs}/>"
         inner = "".join(_render_node(c) for c in node.children)

@@ -1,7 +1,10 @@
-"""Cold start: only annotate and segment load scipy, and annotate loads it
-before it forks its process pool. Each case runs in a fresh interpreter,
-since the test process has long since imported scipy."""
+"""Cold start: the package and the text commands load neither numpy nor
+scipy; stats loads numpy alone; only annotate and segment load scipy, and
+annotate loads numpy, the pipeline and scipy.signal before it forks its
+process pool. Each case runs in a fresh interpreter, since the test process
+has long since imported both."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -19,7 +22,7 @@ from conftest import build_e2e_corpus
 SRC = Path(prosodika.__file__).resolve().parents[1]
 
 # runs the CLI on argv[1:] (or only imports it, given no arguments) and
-# prints the exit code and the scipy modules loaded
+# prints the exit code and the numpy and scipy modules loaded
 COMMAND_PROBE = """
 import json, sys
 from prosodika import cli
@@ -29,20 +32,38 @@ if sys.argv[1:]:
         cli.main.main(args=sys.argv[1:], prog_name="prosodika")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+print(json.dumps({"code": code, **{top: [m for m in sys.modules if m.split(".")[0] == top]
+                                   for top in ("numpy", "scipy")}}))
 """
 
-# runs annotate on argv[1:] with a spy on the process pool, and prints whether
-# scipy.signal was loaded before annotate and at each pool creation
+# reads the package attribute argv[1] and prints the numpy modules loaded
+ATTRIBUTE_PROBE = """
+import json, sys
+import prosodika
+getattr(prosodika, sys.argv[1])
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "numpy"]))
+"""
+
+# reads the package's submodules argv[1:] as attributes and prints their names
+SUBMODULE_PROBE = """
+import json, sys
+import prosodika
+print(json.dumps([getattr(prosodika, m).__name__ for m in sys.argv[1:]]))
+"""
+
+# runs annotate on argv[1:] with a spy on the process pool, and prints which of
+# the modules that its workers need were loaded before annotate and at each
+# pool creation
 POOL_PROBE = """
 import json, sys
 from prosodika import cli
-at_start = "scipy.signal" in sys.modules
+MODULES = ("numpy", "prosodika.pipeline", "scipy.signal")
+at_start = [m for m in MODULES if m in sys.modules]
 at_pool = []
 
 class Spy(cli.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        at_pool.append("scipy.signal" in sys.modules)
+        at_pool.append([m for m in MODULES if m in sys.modules])
         super().__init__(*args, **kwargs)
 
 cli.ProcessPoolExecutor = Spy
@@ -85,10 +106,21 @@ def _inputs(root: Path) -> dict[str, list[str]]:
 
 @pytest.mark.parametrize("case", ["import", "score", "census", "stats", "validate-ssml"])
 def test_command_does_not_load_scipy(tmp_path, case):
+    """Nor numpy, but for stats, whose distribution summaries need it."""
     args = _inputs(tmp_path)[case]
     seen = _probe(COMMAND_PROBE, args)
     assert seen["code"] == (0 if args else None)
     assert seen["scipy"] == []
+    if case == "stats":
+        assert "numpy" in seen["numpy"]
+    else:
+        assert seen["numpy"] == []
+
+
+@pytest.mark.parametrize("name, loads_numpy", [("parse_corpus", False), ("TextGridTier", False),
+                                               ("AudioError", False), ("load_wav", True)])
+def test_package_attribute_loads_only_its_module(name, loads_numpy):
+    assert bool(_probe(ATTRIBUTE_PROBE, [name])) is loads_numpy
 
 
 def test_annotate_loads_scipy_signal_before_the_pool(tmp_path):
@@ -97,4 +129,58 @@ def test_annotate_loads_scipy_signal_before_the_pool(tmp_path):
     data["pairs"].append(dict(data["pairs"][0], name="pair01"))
     manifest.write_text(json.dumps(data), encoding="utf-8")
     seen = _probe(POOL_PROBE, ["annotate", str(manifest), "--jobs", "2"])
-    assert seen == {"code": 0, "at_start": False, "at_pool": [True]}
+    needed = ["numpy", "prosodika.pipeline", "scipy.signal"]
+    assert seen == {"code": 0, "at_start": [], "at_pool": [needed]}
+
+
+# the package's public names, by the submodule that defines them
+EXPORTS = {
+    "audio": ["AudioBuffer", "SegmentBounds", "detect_speech_segments", "load_wav",
+              "peak_normalize", "resample_to_16k"],
+    "errors": ["AudioError", "UnreadableFileError", "UnsupportedFormatError",
+               "UnsupportedRateError"],
+    "loudness": ["SILENCE", "SegmentTooShortError", "integrated_loudness"],
+    "metrics": ["BreakPrediction", "ErrorStats", "MetricsReport", "TagCensus", "arr",
+                "attribute_errors", "break_f1", "perplexity", "tag_census"],
+    "pitch": ["F0Track", "estimate_f0_track", "median_f0"],
+    "prosody": ["PairingError", "PipelineConfig", "ProsodyDelta", "SyntagmFeatures",
+                "annotate_corpus", "pitch_delta", "rate_delta", "rolling_baseline",
+                "smooth_series", "volume_delta"],
+    "ssml": ["BreakElement", "EmitOptions", "OpaqueElement", "ProsodyElement",
+             "SilenceDirective", "SsmlDocument", "SsmlParseError", "SsmlValidationError",
+             "TextNode", "Violation", "emit", "parse", "parse_corpus", "validate"],
+    "syntagms": ["FunctionWordLexicon", "Syntagm", "Token", "filter_function_word_pauses",
+                 "segment_syntagms", "tokens_from_tier"],
+    "textgrid": ["TextGridParseError", "TextGridTier", "parse_textgrid", "read_textgrid"],
+}
+
+
+def test_every_public_name_is_its_submodules_object():
+    assert sorted(prosodika.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"prosodika.{module}")
+        for name in names:
+            assert getattr(prosodika, name) is getattr(owner, name), name
+    assert set(prosodika.__all__) <= set(dir(prosodika))
+    assert prosodika.__version__ == "0.1.0"
+
+
+def test_audio_errors_are_one_set_of_classes():
+    from prosodika import audio, cli
+
+    for name in EXPORTS["errors"]:
+        assert getattr(audio, name) is getattr(prosodika, name)
+    assert audio.AudioError is prosodika.AudioError
+    assert cli._classify(audio.UnreadableFileError("x")) == cli.EXIT_IO
+    assert cli._classify(audio.UnsupportedRateError("x")) == cli.EXIT_FORMAT
+
+
+def test_submodules_are_attributes_without_their_import():
+    # as when the package imported every submodule that defines a public name
+    assert _probe(SUBMODULE_PROBE, list(EXPORTS)) == [f"prosodika.{m}" for m in EXPORTS]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        prosodika.no_such_name  # noqa: B018
+    assert not hasattr(prosodika, "load_wavs")

@@ -1,19 +1,22 @@
-"""Differential check of the SSML parser: seeded random corpora, one digest.
+"""Differential check of the SSML and TextGrid parsers: seeded random
+inputs, one digest per parser.
 
-Each corpus is drawn with ``random.Random``, whose draws are the same on
+Each input is drawn with ``random.Random``, whose draws are the same on
 every Python version, and not with Hypothesis, whose draws are not. The
-outcome of ``ssml.parse_corpus`` on it, and of ``ssml.parse`` on the whole
-text, is the document's repr or the error's (type, message, offset, line).
-All outcomes go into one sha256, pinned below. A change that alters any
-parsed document or error changes the digest; one that does so on purpose
-says why in CHANGES.md, with the changed cases counted by kind.
+outcome of ``ssml.parse_corpus`` on an SSML corpus, and of ``ssml.parse`` on
+the whole text, is the document's repr or the error's (type, message,
+offset, line); the outcome of ``textgrid.parse_textgrid`` on a grid is the
+tiers' repr or the error's (type, message, line). All outcomes of a parser
+go into one sha256, pinned below. A change that alters any parsed value or
+error changes the digest; one that does so on purpose says why in
+CHANGES.md, with the changed cases counted by kind.
 """
 
 import hashlib
 import pyexpat
 import random
 
-from prosodika import ssml
+from prosodika import ssml, textgrid
 
 from test_fuzz import SSML_TOKENS
 
@@ -128,3 +131,103 @@ def test_parse_outcomes_match_pinned_digest():
     assert digest.hexdigest() == SSML_DIGEST, (
         f"SSML outcomes changed (expat {pyexpat.EXPAT_VERSION}): an expat version whose "
         "messages differ changes the digest without any change in the parser")
+
+
+N_GRIDS = 8000
+TEXTGRID_DIGEST = "d4aaa09e14e6651f8cf5ca9e3189e6f49ecc9d6a615884f2b9e1dabae3b5adaa"
+
+TIER_NAMES = ["words", "phones", "Mots", "", 'a "b"', "tier 2"]
+LABELS = ["", "", "mot", "le chat", 'un "deux"', "é", "fin.", "  ", '""', "a\nb", "x\r\ny",
+          "item [1]:", "text = 1", "\u2028", "\x0c", "\u00a0"]
+# values that may stand in a grid's line: numbers good and bad, stray strings,
+# headers, flags and list headers
+GRID_LINES = ["", " ", "inf", "nan", "-1", "1e309", "2.5", "2.0", "0", "zz", "xmax = zz",
+              "size = inf", "size = 2.5", '"', '"a""', '"a" b', "intervals: size = -3",
+              '"TextTier"', '"IntervalTier"', '"Foo"', "<exists>", "<absent>", "tiers? <exists>",
+              "item []:", "intervals [1]:", "item[2]:", 'File type = "ooTextFile"', "1_0", "٣"]
+GRID_SEPARATORS = ["\n", "\n", "\r\n", "\r"]
+
+
+def _times(rng: random.Random, n: int) -> list[float]:
+    """``n`` rising times in [0, 3], rounded as a grid writes them; now and
+    then one out of order."""
+    times = sorted(round(rng.uniform(0.0, 3.0), rng.choice([0, 1, 2, 3, 6])) for _ in range(n))
+    if n > 1 and rng.random() < 0.05:
+        i = rng.randrange(n - 1)
+        times[i], times[i + 1] = times[i + 1], times[i]
+    return times
+
+
+def _quoted(label: str) -> str:
+    return '"' + label.replace('"', '""') + '"'
+
+
+def grid(rng: random.Random) -> str:
+    """A long, headerless long or short grid of 0-3 interval and point tiers,
+    then 0-3 line edits and maybe a cut."""
+    form = rng.choice(["long", "long", "headerless", "short"])
+    long = form != "short"
+
+    def field(key: str, value) -> str:
+        return f"{key} = {value}" if long else str(value)
+
+    def header(text: str) -> list[str]:
+        return [text] if form == "long" else []
+
+    end = round(rng.uniform(0.0, 4.0), 2)
+    n_tiers = rng.choice([0, 1, 1, 2, 3])
+    lines = ['File type = "ooTextFile"', 'Object class = "TextGrid"', "",
+             field("xmin", 0), field("xmax", end),
+             "tiers? <exists>" if long else "<exists>", field("size", n_tiers),
+             *header("item []:")]
+    for k in range(1, n_tiers + 1):
+        point = rng.random() < 0.25
+        n = rng.choice([0, 1, 2, 3, 4])
+        lines += [*header(f"    item [{k}]:"),
+                  field("class", _quoted("TextTier" if point else "IntervalTier")),
+                  field("name", _quoted(rng.choice(TIER_NAMES))),
+                  field("xmin", 0), field("xmax", end)]
+        if point:
+            lines.append(f"points: size = {n}" if long else str(n))
+            for i, t in enumerate(_times(rng, n), start=1):
+                lines += [*header(f"        points [{i}]:"), field("number", t),
+                          field("mark", _quoted(rng.choice(LABELS)))]
+        else:
+            lines.append(f"intervals: size = {n}" if long else str(n))
+            times = _times(rng, 2 * n)
+            for i in range(n):
+                lines += [*header(f"        intervals [{i + 1}]:"),
+                          field("xmin", times[2 * i]), field("xmax", times[2 * i + 1]),
+                          field("text", _quoted(rng.choice(LABELS)))]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        at = rng.randrange(len(lines))
+        edit = rng.randrange(4)
+        if edit == 0:
+            lines[at] = rng.choice(GRID_LINES)
+        elif edit == 1:
+            del lines[at]
+        elif edit == 2:
+            lines.insert(at, rng.choice(GRID_LINES))
+        else:
+            lines.insert(at, lines[at])
+    if rng.random() < 0.1:
+        lines = lines[: rng.randrange(len(lines) + 1)]
+    if rng.random() < 0.05:
+        lines += rng.choice([[""], ["", "  "], ["zz"]])
+    sep = rng.choice(GRID_SEPARATORS)
+    return sep.join(lines) + (sep if rng.random() < 0.8 else "")
+
+
+def grid_outcome(text: str) -> str:
+    try:
+        return repr(textgrid.parse_textgrid(text))
+    except textgrid.TextGridParseError as exc:
+        return repr((type(exc).__name__, exc.args[0], exc.line))
+
+
+def test_textgrid_outcomes_match_pinned_digest():
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for _ in range(N_GRIDS):
+        digest.update(grid_outcome(grid(rng)).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == TEXTGRID_DIGEST

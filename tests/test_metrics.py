@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from prosodika.metrics import (
     BreakPrediction,
     MetricsReport,
     PairingError,
+    _error_stats,
     arr,
     attribute_errors,
     break_f1,
@@ -224,6 +227,45 @@ class TestAttributeErrors:
         quantized = [abs(round(d, 2)) for d in diffs]
         if len(set(quantized)) == 1:
             assert stats.rmse == pytest.approx(stats.mae, abs=1e-12)
+
+
+def _draw_diffs(rng: random.Random, n: int) -> list[float]:
+    """``n`` differences of one of four kinds: two-decimal percentages as
+    scoring sees them, whole milliseconds, signed zeros and subnormals, or
+    magnitudes from 1e-300 to 1e150 (their squares stay finite)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [round(rng.uniform(-50, 50), 2) - round(rng.uniform(-50, 50), 2)
+                for _ in range(n)]
+    if kind == 1:
+        return [float(rng.randint(-900, 900)) for _ in range(n)]
+    if kind == 2:
+        return [rng.choice([0.0, -0.0, 5e-324 * rng.randint(-2**30, 2**30),
+                            round(rng.uniform(-1, 1), 2)]) for _ in range(n)]
+    return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 150) for _ in range(n)]
+
+
+class TestErrorStatsMatchNumpy:
+    """_error_stats sums in numpy's pairwise order, so MAE and RMSE keep the
+    bits np.mean gave them, across the 8- and 128-item boundaries of that order."""
+
+    def test_bit_for_bit_on_seeded_lists(self):
+        rng = random.Random(1717)
+        lengths = [*range(1, 300), 383, 384, 1023, 1024, 1025, 2047, 2048, 2049, 2200]
+        lengths += [rng.randint(300, 2200) for _ in range(40)]
+        mismatches = []
+        for n in lengths:
+            diffs = _draw_diffs(rng, n)
+            x = np.asarray(diffs, dtype=np.float64)
+            want = (float(np.mean(np.abs(x))).hex(), float(np.sqrt(np.mean(x * x))).hex())
+            got = _error_stats(diffs)
+            if (got.mae.hex(), got.rmse.hex(), got.count) != (*want, n):
+                mismatches.append((n, got, want))
+        assert mismatches == []
+
+    def test_empty_is_zero(self):
+        stats = _error_stats([])
+        assert (stats.mae, stats.rmse, stats.count) == (0.0, 0.0, 0)
 
 
 class TestTagCensus:

@@ -294,6 +294,25 @@ class TestAnnotateCorpus:
     def test_empty_pairing_is_empty(self):
         assert annotate_corpus([], [], CFG) == []
 
+    def test_unvoiced_syntagm_leaves_its_neighbours_unsmoothed(self):
+        # the flagged syntagm's 0 stays out of the smoother, so the fully voiced
+        # third syntagm keeps the first one's 9.05 instead of sliding towards 0
+        syntagms = [make_syntagm([f"m{i}"]) for i in range(3)]
+        nat = [(s, feats(f0=f0)) for s, f0 in zip(syntagms, [220.0, None, 220.0])]
+        syn = [(s, feats(f0=200.0)) for s in syntagms]
+        deltas = annotate_corpus(nat, syn, CFG)
+        assert [round(d.pitch_pct, 2) for d in deltas] == [9.05, 0.0, 9.05]
+        assert deltas[0].pitch_pct == deltas[2].pitch_pct
+        assert [d.flags for d in deltas] == [(), (FLAG_NO_PITCH,), ()]
+
+    def test_unvoiced_first_syntagm_does_not_seed_the_smoother(self):
+        syntagms = [make_syntagm([f"m{i}"]) for i in range(3)]
+        nat = [(s, feats(f0=f0)) for s, f0 in zip(syntagms, [None, 220.0, 220.0])]
+        syn = [(s, feats(f0=200.0)) for s in syntagms]
+        deltas = annotate_corpus(nat, syn, CFG)
+        assert deltas[0].pitch_pct == 0.0
+        assert deltas[1].pitch_pct == deltas[2].pitch_pct == pytest.approx(9.0508, abs=1e-4)
+
     def test_synthetic_voice_with_no_pitch_flags_every_syntagm(self):
         # no f0 baseline exists, so every raw pitch is 0 and nothing is smoothed away from it
         syntagms = [make_syntagm([f"m{i}"]) for i in range(3)]

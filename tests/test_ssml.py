@@ -1,5 +1,6 @@
 import pickle
 import random
+from xml.sax import saxutils
 
 import pytest
 
@@ -82,6 +83,21 @@ class TestEmit:
     def test_negative_zero_normalized(self):
         out = emit([("mot", delta(pitch=-0.0001))])
         assert 'pitch="+0.00%"' in out
+
+
+class TestEscape:
+    """The emitter's own escapes give xml.sax.saxutils' output; the package
+    does not import that module, which loads urllib and email with it."""
+
+    PIECES = ["&", "<", ">", '"', "'", "\n", "\r", "\t", "a", "é", " ", "&amp;", "]]>",
+              "\U0001f600", "\U00010348", "\u2028"]
+
+    def test_match_saxutils_on_seeded_strings(self):
+        rng = random.Random(1017)
+        for _ in range(5000):
+            text = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 12)))
+            assert ssml._escape(text) == saxutils.escape(text, {'"': "&quot;"})
+            assert ssml._quoteattr(text) == saxutils.quoteattr(text)
 
 
 class TestParse:
