@@ -208,7 +208,11 @@ def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     n_windows = (len(samples) - win) // hop + 1
     if n_windows <= 0:
         return np.empty(0)
-    sq = np.concatenate([[0.0], np.cumsum(samples * samples)])
+    # the running sum of squares from 0, built in place in one array
+    sq = np.empty(len(samples) + 1)
+    sq[0] = 0.0
+    np.multiply(samples, samples, out=sq[1:])
+    np.cumsum(sq[1:], out=sq[1:])
     starts = np.arange(n_windows) * hop
     return (sq[starts + win] - sq[starts]) / win
 

@@ -16,12 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -192,15 +188,29 @@ def _annotate_one(args):
         pipeline.write_pair_result(result, pair.output_dir)
     except Exception as exc:  # noqa: BLE001 - one pair's failure never fails the others
         code = _classify(exc)
-        return code, traceback.format_exc().rstrip() if code == EXIT_BUG else str(exc)
+        if code != EXIT_BUG:
+            return code, str(exc)
+        import traceback
+
+        return code, traceback.format_exc().rstrip()
     return result
 
 
 def _pool_context():
     """The pool's start method: fork where the platform has it, so workers
     inherit the imports made before the pool starts; else its default."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def _make_pool(workers: int):
+    """The process pool of ``annotate --jobs N``. The pool machinery loads
+    here, so the text commands and ``--jobs 1`` start without it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
 
 def _usable_cpus() -> int:
@@ -254,11 +264,13 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     if workers == 1:
         outcomes = [_annotate_one(task) for task in tasks]
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         # imported once here, so that every fork-started worker inherits it
         import scipy.signal  # noqa: F401
 
         outcomes = []
-        with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
+        with _make_pool(workers) as pool:
             for fut in [pool.submit(_annotate_one, t) for t in tasks]:
                 try:
                     outcomes.append(fut.result())

@@ -14,6 +14,7 @@ MetricsReport.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -396,27 +397,40 @@ class DistributionSummary:
 
 
 def summarize(values: list[float], n_bins: int = 20) -> DistributionSummary:
-    """Five-number summary plus histogram. Quartiles use the nearest-rank
-    method; the median uses midpoint interpolation for even counts."""
+    """Five-number summary plus histogram, with numpy's numbers and no numpy.
+
+    The quartiles are ``np.percentile(method="nearest")``: the value at index
+    ``round((n - 1) * q)``, ties to even. The median is ``np.median``: the
+    middle value, or the mean of the two middle values for even counts,
+    summed from 0.0 as numpy sums (so a -0.0 median reads 0.0). The bins are
+    ``np.histogram``'s over [min, max]: ``linspace`` edges, a ValueError when
+    they are not strictly increasing, and ``edges[i] <= v < edges[i + 1]``
+    with the last bin closed. Where the values hold both signed zeros, numpy
+    picks either zero by its SIMD lanes and selection order; this takes them
+    in input order (a stable sort), so only such a zero's sign may differ."""
     if not values:
         raise ValueError("cannot summarize an empty distribution")
-    import numpy as np  # only stats needs it; score and census start without it
-
-    arr_ = np.asarray(values, dtype=np.float64)
-    lo, hi = float(arr_.min()), float(arr_.max())
+    s = sorted(map(float, values))
+    n = len(s)
+    lo, hi = s[0], s[-1]
+    mid = (n - 1) // 2
+    median = 0.0 + s[mid] if n % 2 else (0.0 + s[mid] + s[mid + 1]) / 2
     if lo == hi:
-        bins = ((lo, hi, len(values)),)
+        bins = ((lo, hi, n),)
     else:
-        counts, edges = np.histogram(arr_, bins=n_bins, range=(lo, hi))
-        bins = tuple(
-            (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(len(counts))
-        )
+        step = (hi - lo) / n_bins
+        edges = [i * step + lo for i in range(n_bins)] + [hi]
+        if not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"Too many bins for data range. Cannot create {n_bins} "
+                             f"finite-sized bins.")
+        # values below each edge; the last bin also holds the maximum
+        below = [bisect_left(s, e) for e in edges[:-1]] + [n]
+        bins = tuple((edges[i], edges[i + 1], below[i + 1] - below[i]) for i in range(n_bins))
     return DistributionSummary(
         minimum=lo,
-        q1=float(np.percentile(arr_, 25, method="nearest")),
-        median=float(np.median(arr_)),
-        q3=float(np.percentile(arr_, 75, method="nearest")),
+        q1=s[round((n - 1) * 0.25)],
+        median=median,
+        q3=s[round((n - 1) * 0.75)],
         maximum=hi,
         bins=bins,
     )

@@ -120,14 +120,27 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
     return pairs, overrides
 
 
+# how far a grid's last word may end past the end of its audio: aligners
+# write times on 10 ms frames and a word's end is rounded to the ms, so two
+# frames cover rounding; past them the grid describes speech the audio lacks
+GRID_END_TOLERANCE_MS = 20
+
+
 def prepare_audio(path: str | Path) -> AudioBuffer:
     """Load, resample to 16 kHz, and peak-normalize."""
+    return _prepare_audio(path)[0]
+
+
+def _prepare_audio(path: str | Path) -> tuple[AudioBuffer, float]:
+    """prepare_audio's buffer and the source WAV's duration in ms. Only
+    ``buf`` holds the source, so each stage frees the one before it."""
     buf = load_wav(path)
+    source_ms = 1000 * len(buf) / buf.sample_rate
     try:
         buf = resample_to_16k(buf)
     except UnsupportedRateError as exc:
         raise UnsupportedRateError(f"{path}: {exc}") from None
-    return peak_normalize(buf)
+    return peak_normalize(buf), source_ms
 
 
 def pick_words_tier(tiers: list[TextGridTier], name: str | None) -> TextGridTier:
@@ -177,9 +190,14 @@ def analyze_voice(
     wav: str | Path, grid: str | Path, lexicon: FunctionWordLexicon, tier: str | None
 ) -> tuple[AudioBuffer, list[Syntagm], list[tuple[Syntagm, SyntagmFeatures]]]:
     """One voice's prepared audio, its syntagms, and each syntagm paired with
-    its measured features, as annotate_corpus takes them."""
-    buf = prepare_audio(wav)
+    its measured features, as annotate_corpus takes them. A grid whose last
+    word ends more than GRID_END_TOLERANCE_MS past the end of the source WAV
+    is a ValueError that names both ends."""
+    buf, audio_ms = _prepare_audio(wav)
     syntagms = syntagms_from_textgrid(grid, lexicon, tier)
+    if syntagms and syntagms[-1].end_ms - audio_ms > GRID_END_TOLERANCE_MS:
+        raise ValueError(f"{grid}: the last word ends at {syntagms[-1].end_ms / 1000:.3f} s, "
+                         f"past the end of {wav} at {audio_ms / 1000:.3f} s")
     track = estimate_f0_track(buf, [(s.start_ms, s.end_ms) for s in syntagms])
     features = measure_features(buf, track, syntagms)
     return buf, syntagms, list(zip(syntagms, features))
@@ -225,8 +243,9 @@ def annotate_pair(
 ) -> PairResult:
     nat_buf, nat_syntagms, nat = analyze_voice(
         pair.natural_wav, pair.textgrid_nat, lexicon, pair.words_tier)
-    _, _, syn = analyze_voice(pair.synthetic_wav, pair.textgrid_syn, lexicon, pair.words_tier)
     segments = detect_speech_segments(nat_buf)
+    del nat_buf  # so the two voices' audio is never held at once
+    _, _, syn = analyze_voice(pair.synthetic_wav, pair.textgrid_syn, lexicon, pair.words_tier)
 
     deltas = annotate_corpus(nat, syn, cfg)
     seg_of = assign_segments(nat_syntagms, segments)

@@ -1,8 +1,8 @@
+import hashlib
 import json
 import multiprocessing
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +21,10 @@ from conftest import (
     NAT_F0,
     NAT_PAUSE_MS,
     NAT_WORD_S,
+    SYN_DBFS,
+    SYN_F0,
+    SYN_PAUSE_MS,
+    SYN_WORD_S,
     build_e2e_corpus,
     build_voice_track,
     long_textgrid,
@@ -151,12 +155,13 @@ class TestAnnotate:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    def test_grid_past_its_audio_is_flagged_not_failed(self, runner, tmp_path):
-        # the natural grid runs to 6.7 s, its WAV stops at 0.5 s: every
-        # syntagm lies past the audio, so it has no f0 frame and no loudness
+    def test_silent_natural_voice_is_flagged_not_failed(self, runner, tmp_path):
+        # the natural WAV lasts as long as its grid, 6.7 s, but falls silent
+        # after 0.5 s: every syntagm has no f0 frame and no loudness
         manifest = build_e2e_corpus(tmp_path, n_syntagms=4)
         audio, _ = build_voice_track(4, NAT_F0, NAT_DBFS, NAT_WORD_S, NAT_PAUSE_MS)
-        write_wav_int16(tmp_path / "nat.wav", audio[:8000], 16000)
+        audio[8000:] = 0.0
+        write_wav_int16(tmp_path / "nat.wav", audio, 16000)
         result = runner.invoke(main, ["annotate", str(manifest), "--jobs", "1"])
         assert result.exit_code == 0, result.output
         assert result.output == "pair00: 4 syntagms in 1 segments (4 flagged)\n"
@@ -174,6 +179,32 @@ class TestAnnotate:
             f'{neutral}mot4 mot5 mot6</prosody><break time="400ms"/>'
             f'{neutral}mot7 mot8 mot9</prosody><break time="400ms"/>'
             f'{neutral}mot10 mot11 mot12</prosody><break time="0ms"/>\n')
+
+    @pytest.mark.parametrize("voice", ["nat", "syn"])
+    def test_grid_past_its_audio_fails_the_pair(self, runner, tmp_path, voice):
+        # the grid runs to 6.7 s (natural) or 8.1 s (synthetic), its WAV stops at 0.5 s
+        manifest = build_e2e_corpus(tmp_path, n_syntagms=4)
+        audio, intervals = (build_voice_track(4, NAT_F0, NAT_DBFS, NAT_WORD_S, NAT_PAUSE_MS)
+                            if voice == "nat" else
+                            build_voice_track(4, SYN_F0, SYN_DBFS, SYN_WORD_S, SYN_PAUSE_MS))
+        write_wav_int16(tmp_path / f"{voice}.wav", audio[:8000], 16000)
+        result = runner.invoke(main, ["annotate", str(manifest), "--jobs", "1"])
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            f"pair00: FAILED ({tmp_path / f'{voice}.TextGrid'}: the last word ends at "
+            f"{intervals[-1][1]:.3f} s, past the end of {tmp_path / f'{voice}.wav'} "
+            f"at 0.500 s)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cut, code", [(320, 0), (321, 3)])
+    def test_grid_may_end_20_ms_past_its_audio(self, runner, tmp_path, cut, code):
+        # at 16 kHz, 320 samples are 20 ms: the grid ends exactly that far past
+        # the audio, then one sample (0.0625 ms) farther
+        manifest = build_e2e_corpus(tmp_path, n_syntagms=2)
+        audio, _ = build_voice_track(2, NAT_F0, NAT_DBFS, NAT_WORD_S, NAT_PAUSE_MS)
+        write_wav_int16(tmp_path / "nat.wav", audio[:-cut], 16000)
+        result = runner.invoke(main, ["annotate", str(manifest), "--jobs", "1"])
+        assert result.exit_code == code, result.output
 
     def test_corrupt_pair_isolated(self, runner, tmp_path):
         manifest_path = build_e2e_corpus(tmp_path, n_syntagms=2)
@@ -205,7 +236,7 @@ class TestAnnotate:
         manifest, _ = two_pairs_one_bad_grid(tmp_path)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # one CPU: no pool
+        monkeypatch.setattr(cli, "_make_pool", None)  # one CPU: no pool
         result = runner.invoke(main, ["annotate", str(manifest)])
         assert result.exit_code == 3, result.output
         assert "pair00: 5 syntagms" in result.output
@@ -449,6 +480,18 @@ class TestStats:
         assert data["totals"]["total_words"] == 18
         assert data["distributions"]["break_ms"]["median"] == 400.0
         assert csv.read_text().startswith("attribute,bin_lo,bin_hi,count")
+
+    def test_stats_outputs_are_pinned(self, runner, annotated, tmp_path):
+        # sha256 of what stats wrote on this corpus when numpy computed the summaries
+        deltas = annotated / "out" / "pair00.deltas.jsonl"
+        out, csv = tmp_path / "stats.json", tmp_path / "hist.csv"
+        result = runner.invoke(
+            main, ["stats", str(deltas), "-o", str(out), "--histogram-csv", str(csv)]
+        )
+        assert result.exit_code == 0, result.output
+        digests = [hashlib.sha256(b).hexdigest()[:16] for b in
+                   (result.output.encode(), out.read_bytes(), csv.read_bytes())]
+        assert digests == ["41a0225aa1eb715e", "0f22b0150915faa3", "cce440a6a2937146"]
 
     def test_quartile_fixture(self, runner, tmp_path):
         rows = [
@@ -894,13 +937,14 @@ class TestPairOutcomes:
 
     def test_pool_has_at_most_one_worker_per_pair(self, runner, tmp_path, monkeypatch):
         sizes = []
+        make_pool = cli._make_pool
 
-        class Spy(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def spy(workers):
+            pool = make_pool(workers)
+            sizes.append(pool._max_workers)
+            return pool
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(cli, "_make_pool", spy)
         result = runner.invoke(main, ["annotate", self.manifest(tmp_path, ["a", "b"]),
                                       "--jobs", "8"])
         assert result.exit_code == 0, result.output

@@ -1,8 +1,8 @@
 """Cold start: the package and the text commands load neither numpy nor
-scipy; stats loads numpy alone; only annotate and segment load scipy, and
-annotate loads numpy, the pipeline and scipy.signal before it forks its
-process pool. Each case runs in a fresh interpreter, since the test process
-has long since imported both."""
+scipy nor the process-pool machinery (multiprocessing, concurrent.futures);
+only annotate and segment load scipy, and annotate loads numpy, the pipeline
+and scipy.signal before it forks its process pool. Each case runs in a fresh
+interpreter, since the test process has long since imported all of them."""
 
 import importlib
 import json
@@ -22,7 +22,7 @@ from conftest import build_e2e_corpus
 SRC = Path(prosodika.__file__).resolve().parents[1]
 
 # runs the CLI on argv[1:] (or only imports it, given no arguments) and
-# prints the exit code and the numpy and scipy modules loaded
+# prints the exit code and the numpy, scipy and process-pool modules loaded
 COMMAND_PROBE = """
 import json, sys
 from prosodika import cli
@@ -33,7 +33,8 @@ if sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"code": code, **{top: [m for m in sys.modules if m.split(".")[0] == top]
-                                   for top in ("numpy", "scipy")}}))
+                                   for top in ("numpy", "scipy", "multiprocessing",
+                                               "concurrent")}}))
 """
 
 # reads the package attribute argv[1] and prints the numpy modules loaded
@@ -61,12 +62,13 @@ MODULES = ("numpy", "prosodika.pipeline", "scipy.signal")
 at_start = [m for m in MODULES if m in sys.modules]
 at_pool = []
 
-class Spy(cli.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        at_pool.append([m for m in MODULES if m in sys.modules])
-        super().__init__(*args, **kwargs)
+make_pool = cli._make_pool
 
-cli.ProcessPoolExecutor = Spy
+def spy(workers):
+    at_pool.append([m for m in MODULES if m in sys.modules])
+    return make_pool(workers)
+
+cli._make_pool = spy
 try:
     cli.main.main(args=sys.argv[1:], prog_name="prosodika")
 except SystemExit as exc:
@@ -106,15 +108,11 @@ def _inputs(root: Path) -> dict[str, list[str]]:
 
 @pytest.mark.parametrize("case", ["import", "score", "census", "stats", "validate-ssml"])
 def test_command_does_not_load_scipy(tmp_path, case):
-    """Nor numpy, but for stats, whose distribution summaries need it."""
+    """Nor numpy, multiprocessing or concurrent.futures."""
     args = _inputs(tmp_path)[case]
     seen = _probe(COMMAND_PROBE, args)
-    assert seen["code"] == (0 if args else None)
-    assert seen["scipy"] == []
-    if case == "stats":
-        assert "numpy" in seen["numpy"]
-    else:
-        assert seen["numpy"] == []
+    assert seen == {"code": 0 if args else None, "numpy": [], "scipy": [],
+                    "multiprocessing": [], "concurrent": []}
 
 
 @pytest.mark.parametrize("name, loads_numpy", [("parse_corpus", False), ("TextGridTier", False),
@@ -131,6 +129,16 @@ def test_annotate_loads_scipy_signal_before_the_pool(tmp_path):
     seen = _probe(POOL_PROBE, ["annotate", str(manifest), "--jobs", "2"])
     needed = ["numpy", "prosodika.pipeline", "scipy.signal"]
     assert seen == {"code": 0, "at_start": [], "at_pool": [needed]}
+
+
+def test_one_job_annotate_loads_no_pool_machinery(tmp_path):
+    manifest = build_e2e_corpus(tmp_path, n_syntagms=2)
+    seen = _probe(COMMAND_PROBE, ["annotate", str(manifest), "--jobs", "1"])
+    assert seen["code"] == 0
+    assert "scipy.signal" in seen["scipy"]  # annotate's own work still loads it
+    assert seen["multiprocessing"] == []
+    # scipy loads concurrent.futures itself, but never its process pool
+    assert "concurrent.futures.process" not in seen["concurrent"]
 
 
 # the package's public names, by the submodule that defines them

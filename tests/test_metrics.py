@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import prosodika
 from prosodika.metrics import (
     BreakPrediction,
+    DistributionSummary,
     MetricsReport,
     PairingError,
     _error_stats,
@@ -327,6 +328,120 @@ class TestCorpusStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+def _numpy_summary(values: list[float], n_bins: int = 20) -> DistributionSummary:
+    """summarize as np.percentile, np.median and np.histogram compute it."""
+    x = np.asarray(values, dtype=np.float64)
+    lo, hi = float(x.min()), float(x.max())
+    with np.errstate(all="ignore"):  # a range or a middle pair past the float range
+        median = float(np.median(x))
+        if lo == hi:
+            bins = ((lo, hi, len(values)),)
+        else:
+            # np.histogram raises this itself from numpy 2; older numpy counts
+            # into zero-width bins instead, so the reference checks first
+            edges = np.linspace(lo, hi, n_bins + 1)
+            if np.any(edges[:-1] >= edges[1:]):
+                raise ValueError(f"Too many bins for data range. Cannot create {n_bins} "
+                                 f"finite-sized bins.")
+            counts, edges = np.histogram(x, bins=n_bins, range=(lo, hi))
+            bins = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
+                         for i in range(n_bins))
+    q1, q3 = map(float, np.percentile(x, [25, 75], method="nearest"))
+    return DistributionSummary(lo, q1, median, q3, hi, bins)
+
+
+def _numbers(s: DistributionSummary) -> tuple:
+    return s.minimum, s.q1, s.median, s.q3, s.maximum, s.bins
+
+
+def _outcome(summary_of, values):
+    """repr of the summary (exact for floats, -0.0 included), or the error."""
+    try:
+        return repr(_numbers(summary_of(values)))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _both_zeros(values) -> bool:
+    return {math.copysign(1.0, v) for v in values if v == 0} == {1.0, -1.0}
+
+
+def _edges(lo: float, hi: float, n_bins: int = 20) -> list[float]:
+    step = (hi - lo) / n_bins
+    return [i * step + lo for i in range(n_bins)] + [hi]
+
+
+def _draw_distribution(rng: random.Random) -> list[float]:
+    n = rng.choice([1, 2, 3, 4, 5, rng.randint(1, 40), rng.randint(1, 400)])
+    kind = rng.randrange(7)
+    if kind == 0:  # two-decimal percentages, as the delta records hold them
+        return [round(rng.uniform(-30, 30), 2) for _ in range(n)]
+    if kind == 1:  # whole-ms breaks with many ties
+        return [float(rng.choice([0, 250, 400, 500, rng.randint(0, 3000)])) for _ in range(n)]
+    if kind == 2:  # on the bin edges, one ulp either side of them, and at both ends
+        lo, hi = sorted(0.0 + round(rng.uniform(-1e3, 1e3), rng.randint(0, 3)) for _ in range(2))
+        if lo == hi:
+            return [lo] * n
+        near = [x for e in _edges(lo, hi)
+                for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+                if lo <= x <= hi]
+        return [lo, hi] + [rng.choice(near) for _ in range(n)]
+    if kind == 3:  # one signed zero among other values
+        zero = rng.choice([0.0, -0.0])
+        return [rng.choice([zero, zero, 1.0, -2.5, 0.25]) for _ in range(n)]
+    if kind == 4:  # subnormal ranges, some too narrow for 20 bins
+        return [5e-324 * rng.choice([0, 1, 7, 20, 41, rng.randint(0, 2**20)]) for _ in range(n)]
+    if kind == 5:  # a few ulps wide
+        base = rng.uniform(-1e6, 1e6)
+        return [base + rng.randint(0, 45) * math.ulp(base) for _ in range(n)]
+    return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(n)]
+
+
+class TestSummarizeMatchesNumpy:
+    """summarize computes in pure Python the numbers that np.percentile
+    (nearest), np.median and np.histogram gave it, bit for bit."""
+
+    FIXED = [
+        [3.5], [2.0, 1.0], [7.25] * 5,  # n = 1 and 2, all equal
+        [4.0, 1.0, 3.0, 2.0], [5.0, 1.0, 4.0, 2.0, 3.0], [1.0] * 6 + [2.0] * 7,  # even, odd
+        _edges(0.0, 1.0), _edges(-3.0, 0.7) + [0.7, 0.7], _edges(1e-3, 0.1)[::3],  # on the edges
+        [-0.0], [-0.0, -0.0], [-0.0, 1.0], [-1.0, -0.0, -0.0],  # a zero's sign
+        [0.0, 5e-324], [5e-324, 2 * 5e-324, 0.0], [0.0, 20 * 5e-324, 7 * 5e-324],  # subnormal
+        [-1.7e308, 1.7e308], [1.7e308, 1.7e308], [1e308, 1.7e308],  # past the float range
+    ]
+
+    @pytest.mark.parametrize("values", FIXED, ids=range(len(FIXED)))
+    def test_fixed_cases(self, values):
+        assert _outcome(summarize, values) == _outcome(_numpy_summary, values)
+
+    def test_bit_for_bit_on_seeded_distributions(self):
+        rng = random.Random(1801)
+        mismatches = []
+        for _ in range(3000):
+            values = _draw_distribution(rng)
+            rng.shuffle(values)
+            got, want = _outcome(summarize, values), _outcome(_numpy_summary, values)
+            if _both_zeros(values):  # a rounded percentage can be -0.0; see below
+                got, want = _numbers(summarize(values)), _numbers(_numpy_summary(values))
+            if got != want:
+                mismatches.append(values)
+        assert mismatches == []
+
+    def test_both_signed_zeros_compare_equal_in_input_order(self):
+        # numpy picks either zero by its SIMD lanes and selection order
+        rng = random.Random(1802)
+        for _ in range(300):
+            values = [rng.choice([0.0, -0.0, 0.0, 1.5, -2.0]) for _ in range(rng.randint(2, 60))]
+            if not _both_zeros(values):
+                continue
+            got, want = summarize(values), _numpy_summary(values)
+            assert _numbers(got) == _numbers(want)  # as numbers: 0.0 == -0.0
+        first = summarize([0.0, -0.0, 0.0])
+        assert math.copysign(1.0, first.minimum) == math.copysign(1.0, first.q1) == 1.0
+        last = summarize([-0.0, 0.0, -0.0])
+        assert math.copysign(1.0, last.maximum) == -1.0
 
 
 class TestMetricsReport:
