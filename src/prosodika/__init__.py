@@ -15,10 +15,9 @@ __version__ = "0.1.0"
 
 # public names, by the submodule that defines them
 _EXPORTS = {
-    "audio": ("AudioBuffer", "SegmentBounds", "detect_speech_segments", "load_wav",
-              "peak_normalize", "resample_to_16k"),
-    "errors": ("AudioError", "UnreadableFileError", "UnsupportedFormatError",
-               "UnsupportedRateError"),
+    "audio": ("AudioBuffer", "AudioError", "SegmentBounds", "UnreadableFileError",
+              "UnsupportedFormatError", "UnsupportedRateError", "detect_speech_segments",
+              "load_wav", "peak_normalize", "resample_to_16k"),
     "loudness": ("SILENCE", "SegmentTooShortError", "integrated_loudness"),
     "metrics": ("BreakPrediction", "ErrorStats", "MetricsReport", "TagCensus", "arr",
                 "attribute_errors", "break_f1", "perplexity", "tag_census"),

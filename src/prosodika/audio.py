@@ -14,12 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (  # noqa: F401 - re-exported
-    AudioError,
-    UnreadableFileError,
-    UnsupportedFormatError,
-    UnsupportedRateError,
-)
+
+class AudioError(Exception):
+    """Base class for audio I/O and format errors."""
+
+
+class UnreadableFileError(AudioError, OSError):
+    """File missing, truncated, or not a RIFF/WAVE container."""
+
+
+class UnsupportedFormatError(AudioError, ValueError):
+    """WAV codec or layout this reader does not handle."""
+
+
+class UnsupportedRateError(AudioError, ValueError):
+    """Source sample rate zero or below the supported minimum."""
+
 
 TARGET_RATE = 16_000
 

@@ -3,8 +3,8 @@
 Exit codes are a stable contract for CI harnesses:
   0 success, 2 I/O error, 3 parse/format error, 4 pairing error,
   5 empty input.
-The command group's ``invoke`` maps the documented input errors to these
-codes; any other exception is a bug and keeps its traceback.
+Every documented input error is an OSError (2) or a ValueError (3, or 4 for
+a PairingError); any other exception is a bug and keeps its traceback.
 
 Configuration is a key = value text file mirroring PipelineConfig field
 names; --config (or the PROSODIKA_CONFIG environment variable) points at it,
@@ -24,7 +24,6 @@ import click
 from click.core import ParameterSource
 
 from . import metrics, ssml
-from .errors import AudioError, UnreadableFileError
 from .prosody import (
     FLAG_INJECTED_BREAK,
     PairingError,
@@ -35,7 +34,7 @@ from .prosody import (
     write_atomic,
 )
 from .syntagms import FunctionWordLexicon
-from .textgrid import TextGridParseError, split_lines
+from .textgrid import split_lines
 
 EXIT_OK = 0
 EXIT_BUG = 1  # an exception outside INPUT_ERRORS, as an uncaught one exits
@@ -45,16 +44,16 @@ EXIT_PAIRING = 4
 EXIT_EMPTY = 5
 
 # everything missing or malformed input may raise; any other exception is a bug
-INPUT_ERRORS = (OSError, ValueError, AudioError, TextGridParseError, ssml.SsmlParseError)
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def _classify(exc: BaseException) -> int:
-    """Exit code of an error: the only place that picks 2, 3 or 4."""
+    """Exit code of an error: the only place that picks 1, 2, 3 or 4."""
     if isinstance(exc, PairingError):
         return EXIT_PAIRING
-    if isinstance(exc, (OSError, UnreadableFileError)):
+    if isinstance(exc, OSError):
         return EXIT_IO
-    return EXIT_FORMAT if isinstance(exc, INPUT_ERRORS) else EXIT_BUG
+    return EXIT_FORMAT if isinstance(exc, ValueError) else EXIT_BUG
 
 
 def _fail(code: int, message: str):
@@ -67,7 +66,7 @@ def _read(path: str, parse):
     decoding or parse error becomes a ValueError that starts with the path."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, ssml.SsmlParseError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -176,10 +175,10 @@ def segment(audio, output, threshold_dbfs, min_gap_ms):
         click.echo(lines, nl=False)
 
 
-def _annotate_one(args):
-    """Annotate and write one pair: its PairResult, or the exit code and message
-    of its failure, so no exception crosses the process pool (a bug's message
-    is its traceback)."""
+def _annotate_one(args) -> tuple[int, str]:
+    """Annotate and write one pair: its exit code and the line that reports
+    it, so only two plain values cross the process pool (a bug's reason is
+    its traceback)."""
     from . import pipeline
 
     pair, cfg, lexicon, emit_options = args
@@ -187,13 +186,14 @@ def _annotate_one(args):
         result = pipeline.annotate_pair(pair, cfg, lexicon, emit_options)
         pipeline.write_pair_result(result, pair.output_dir)
     except Exception as exc:  # noqa: BLE001 - one pair's failure never fails the others
-        code = _classify(exc)
-        if code != EXIT_BUG:
-            return code, str(exc)
-        import traceback
+        code, reason = _classify(exc), str(exc)
+        if code == EXIT_BUG:
+            import traceback
 
-        return code, traceback.format_exc().rstrip()
-    return result
+            reason = traceback.format_exc().rstrip()
+        return code, f"{pair.name}: FAILED ({reason})"
+    return EXIT_OK, (f"{pair.name}: {result.n_syntagms} syntagms in "
+                     f"{result.n_segments} segments ({result.n_flagged} flagged)")
 
 
 def _pool_context():
@@ -271,23 +271,15 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
 
         outcomes = []
         with _make_pool(workers) as pool:
-            for fut in [pool.submit(_annotate_one, t) for t in tasks]:
+            futures = [pool.submit(_annotate_one, t) for t in tasks]
+            for pair, fut in zip(pairs, futures):
                 try:
                     outcomes.append(fut.result())
                 except BrokenProcessPool as exc:  # a worker died, e.g. killed
-                    outcomes.append((_classify(exc), str(exc)))
-    worst = EXIT_OK
-    for pair, outcome in zip(pairs, outcomes):
-        if isinstance(outcome, tuple):
-            code, message = outcome
-            worst = max(worst, code)
-            click.echo(f"{pair.name}: FAILED ({message})", err=True)
-        else:
-            click.echo(
-                f"{pair.name}: {outcome.n_syntagms} syntagms in "
-                f"{outcome.n_segments} segments ({outcome.n_flagged} flagged)"
-            )
-    sys.exit(worst)
+                    outcomes.append((_classify(exc), f"{pair.name}: FAILED ({exc})"))
+    for code, line in outcomes:
+        click.echo(line, err=code != EXIT_OK)
+    sys.exit(max(code for code, _ in outcomes))
 
 
 @main.command()
@@ -345,6 +337,18 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
         write_atomic(Path(output), json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def _summarize(key: str, values: list[float]) -> metrics.DistributionSummary:
+    """metrics.summarize of finite ``values``; its error, or an infinite
+    median, is a ValueError that starts with ``key``."""
+    try:
+        summary = metrics.summarize(values)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    if not math.isfinite(summary.median):  # the two middle values' sum overflowed
+        raise ValueError(f"{key}: the median is {summary.median}, not a finite number")
+    return summary
+
+
 @main.command()
 @click.argument("delta_files", type=click.Path(), nargs=-1)
 @click.option("-o", "--output", type=click.Path(), default=None,
@@ -359,12 +363,12 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
     records = [rec for path in delta_files for rec in _read(path, read_delta_records)]
     if not records:
         _fail(EXIT_EMPTY, "no delta records given")
-    summaries = {key: metrics.summarize([float(r[key]) for r in records])
+    summaries = {key: _summarize(key, [float(r[key]) for r in records])
                  for key in ("pitch_pct", "rate_pct", "volume_pct")}
     breaks = [float(r["break_ms"]) for r in records
               if not (exclude_injected_breaks and FLAG_INJECTED_BREAK in r.get("flags", ()))]
     if breaks:  # empty only when every break is injected and excluded
-        summaries["break_ms"] = metrics.summarize(breaks)
+        summaries["break_ms"] = _summarize("break_ms", breaks)
     totals = {  # read_delta_records has checked the type of every key used here
         "speakers": len({r["pair"] for r in records if "pair" in r}),
         "total_words": sum(r.get("word_count", len(r.get("text", "").split())) for r in records),
@@ -418,7 +422,7 @@ def validate_ssml(ssml_files, config):
     for path in ssml_files:
         try:
             doc = _read(path, ssml.parse_corpus)
-        except (OSError, ValueError) as exc:  # reported per file; the rest are still checked
+        except INPUT_ERRORS as exc:  # reported per file; the rest are still checked
             click.echo(f"error: {exc}", err=True)
             code = max(code, _classify(exc))
             continue

@@ -72,7 +72,7 @@ def _quoteattr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-class SsmlParseError(Exception):
+class SsmlParseError(ValueError):
     """A parse error at character ``offset`` of its line; ``line`` (1-based)
     is set when the line came from a corpus."""
 
@@ -87,6 +87,9 @@ class SsmlParseError(Exception):
 
 
 class SsmlValidationError(Exception):
+    """emit's refusal of deltas outside the clip ranges, which annotate_corpus
+    never yields: a caller's bug, so neither an OSError nor a ValueError."""
+
     def __init__(self, violations: list["Violation"]):
         super().__init__("; ".join(str(v) for v in violations))
         self.violations = violations

@@ -26,7 +26,7 @@ def split_lines(text: str) -> list[str]:
     return [line.rstrip("\r\n") for line in io.StringIO(text, newline="").readlines()]
 
 
-class TextGridParseError(Exception):
+class TextGridParseError(ValueError):
     def __init__(self, message: str, line: int, path: str | None = None):
         super().__init__(message, line, path)  # all in args, so the error survives pickling
         self.line = line

@@ -1,17 +1,21 @@
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import prosodika
 from prosodika import cli, pipeline
 from prosodika.cli import main
-from prosodika.prosody import ProsodyDelta, delta_record, deltas_to_jsonl
+from prosodika.prosody import PipelineConfig, ProsodyDelta, delta_record, deltas_to_jsonl
 from prosodika.ssml import EmitOptions, emit
+from prosodika.syntagms import FunctionWordLexicon
 
 from conftest import (
     EXPECTED_PITCH_PCT,
@@ -542,6 +546,22 @@ class TestStats:
             "pitch_pct", "rate_pct", "volume_pct"}
         assert "break_ms" not in csv.read_text()
 
+    @pytest.mark.parametrize("values, message", [
+        ([-1.7e308, 1.7e308],
+         "Too many bins for data range. Cannot create 20 finite-sized bins."),
+        ([0, 1.7e308, 1.7e308, 1.7e308],  # the two middle values' sum overflows
+         "the median is inf, not a finite number"),
+    ], ids=["span-overflows", "median-overflows"])
+    def test_unsummarizable_distribution_names_its_key(self, runner, tmp_path, values, message):
+        p = tmp_path / "d.jsonl"
+        p.write_text(deltas_to_jsonl(
+            [delta_record("a", ProsodyDelta(v, 0.0, 0.0, 0)) for v in values]), encoding="utf-8")
+        out = tmp_path / "s.json"
+        result = runner.invoke(main, ["stats", str(p), "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines()[-1] == f"error: pitch_pct: {message}"
+        assert not out.exists()
+
     def test_text_with_line_separator(self, runner, tmp_path):
         # only \n, \r\n and \r end a record: json.dumps keeps U+2028 as it is
         rec = delta_record("a\u2028b", ProsodyDelta(1.0, 2.0, 3.0, 250))
@@ -903,11 +923,45 @@ def test_exit_code_contract(runner, tmp_path, build, code):
         assert named in errors[0]
 
 
+# each error class the package defines and can raise, with its exit code
+ERROR_CODES = {
+    "UnreadableFileError": cli.EXIT_IO,
+    "UnsupportedFormatError": cli.EXIT_FORMAT,
+    "UnsupportedRateError": cli.EXIT_FORMAT,
+    "SegmentTooShortError": cli.EXIT_FORMAT,
+    "ManifestError": cli.EXIT_FORMAT,
+    "PairingError": cli.EXIT_PAIRING,
+    "SsmlParseError": cli.EXIT_FORMAT,
+    "TextGridParseError": cli.EXIT_FORMAT,
+    "SsmlValidationError": cli.EXIT_BUG,  # emit's refusal: only a caller's bug reaches it
+}
+
+
+def _error_classes() -> list[type]:
+    """Every exception class defined in a prosodika module."""
+    found = []
+    for info in pkgutil.iter_modules(prosodika.__path__):
+        module = importlib.import_module(f"prosodika.{info.name}")
+        found += [v for v in vars(module).values() if isinstance(v, type)
+                  and issubclass(v, BaseException) and v.__module__ == module.__name__]
+    return found
+
+
+def test_every_error_is_an_os_or_value_error():
+    # a base class (AudioError) is raised only as one of its subclasses
+    raised = [cls for cls in _error_classes() if not cls.__subclasses__()]
+    assert sorted(cls.__name__ for cls in raised) == sorted(ERROR_CODES)
+    for cls in raised:
+        if cls.__name__ != "SsmlValidationError":
+            assert issubclass(cls, (OSError, ValueError)), cls
+        assert cli._classify(cls.__new__(cls)) == ERROR_CODES[cls.__name__], cls
+
+
 def _die_on_bad(args):
     """Stands in for cli._annotate_one: the worker given pair 'bad' dies."""
     if args[0].name == "bad":
         os._exit(1)
-    return pipeline.PairResult(args[0].name, 1, 1, 0, [], [], [])
+    return 0, f"{args[0].name}: 1 syntagms in 1 segments (0 flagged)"
 
 
 class TestPairOutcomes:
@@ -960,3 +1014,13 @@ class TestPairOutcomes:
         assert result.exit_code == 1
         assert "bad: FAILED (A process in the process pool was terminated abruptly" in result.output
         assert "good: " in result.output  # done or FAILED, depending on timing
+
+    def test_pair_outcome_is_its_code_and_line(self, tmp_path):
+        # all that crosses the pool: the exit code and the line annotate prints
+        pairs, _ = pipeline.load_manifest(build_e2e_corpus(tmp_path))
+        task = (pairs[0], PipelineConfig(), FunctionWordLexicon.default(), EmitOptions())
+        assert cli._annotate_one(task) == (0, "pair00: 6 syntagms in 7 segments (0 flagged)")
+        wav = tmp_path / "nat.wav"
+        wav.unlink()
+        missing = FileNotFoundError(2, os.strerror(2), str(wav))
+        assert cli._annotate_one(task) == (2, f"pair00: FAILED (cannot read {wav}: {missing})")

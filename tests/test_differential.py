@@ -1,22 +1,34 @@
-"""Differential check of the SSML and TextGrid parsers: seeded random
-inputs, one digest per parser.
+"""Differential check of the SSML and TextGrid parsers and of the delta
+computation: seeded random inputs, one digest per layer.
 
 Each input is drawn with ``random.Random``, whose draws are the same on
 every Python version, and not with Hypothesis, whose draws are not. The
 outcome of ``ssml.parse_corpus`` on an SSML corpus, and of ``ssml.parse`` on
 the whole text, is the document's repr or the error's (type, message,
 offset, line); the outcome of ``textgrid.parse_textgrid`` on a grid is the
-tiers' repr or the error's (type, message, line). All outcomes of a parser
-go into one sha256, pinned below. A change that alters any parsed value or
-error changes the digest; one that does so on purpose says why in
-CHANGES.md, with the changed cases counted by kind.
+tiers' repr or the error's (type, message, line); the outcome of
+``prosody.annotate_corpus`` on a pair of measured voices is the records
+``delta_record`` writes (rounded to 6 decimals) or the error's (type,
+message). All outcomes of a layer go into one sha256, pinned below. A
+change that alters any parsed value, delta or error changes the digest; one
+that does so on purpose says why in CHANGES.md, with the changed cases
+counted by kind.
 """
 
+import dataclasses
 import hashlib
 import pyexpat
 import random
 
 from prosodika import ssml, textgrid
+from prosodika.prosody import (
+    PipelineConfig,
+    SyntagmFeatures,
+    annotate_corpus,
+    delta_record,
+    deltas_to_jsonl,
+)
+from prosodika.syntagms import WORD, Syntagm, Token
 
 from test_fuzz import SSML_TOKENS
 
@@ -231,3 +243,74 @@ def test_textgrid_outcomes_match_pinned_digest():
     for _ in range(N_GRIDS):
         digest.update(grid_outcome(grid(rng)).encode("utf-8") + b"\0")
     assert digest.hexdigest() == TEXTGRID_DIGEST
+
+
+N_PAIRS = 2000
+CORPUS_DIGEST = "dbe64b6b45f16785d62d1e2523e20415a0d2042f7023c6da9b44557131b635e2"
+
+PAIR_WORDS = ["le", "chat", "dort", "été", "Paris", "fin."]
+F0_HZ = [80.0, 110.5, 150.0, 200.0, 220.0, 349.23, 500.0]
+LOUDNESS_LUFS = [-60.0, -35.5, -23.0, -20.25, -14.0, -3.0]
+PAUSES_MS = [0, 0, 40, 120, 300, 500, 900]
+# word durations whose sums meet the configs' long-syntagm thresholds exactly
+ROUND_MS = [100, 200, 250, 500]
+CONFIGS = [
+    PipelineConfig(),
+    PipelineConfig(smoothing_alpha=1.0, max_jump_pct=100.0),
+    PipelineConfig(pitch_clip_semitones=0.5, volume_clip_pct=3.0, rate_clip_pct=25.0),
+    PipelineConfig(max_jump_pct=0.5, slowdown_gain=1.0, speedup_gain=2.0, long_syntagm_s=0.2),
+]
+
+
+def _voice(rng: random.Random, texts: list[list[str]], absent: float) -> list:
+    """One voice's (syntagm, features) pairs: ``texts`` timed at random, and
+    each feature None at rate ``absent``."""
+    out, t = [], rng.randrange(0, 500)
+    for words in texts:
+        tokens = []
+        for text in words:
+            end = t + (rng.choice(ROUND_MS) if rng.random() < 0.5 else rng.randrange(40, 700))
+            tokens.append(Token(WORD, text, t, end))
+            t = end
+        injected = rng.random() < 0.15
+        pause = 500 if injected else rng.choice(PAUSES_MS)
+        t += pause
+        feats = SyntagmFeatures(
+            None if rng.random() < absent else rng.choice(F0_HZ) * rng.uniform(0.9, 1.1),
+            None if rng.random() < absent else rng.choice(LOUDNESS_LUFS) + rng.uniform(-2, 2))
+        out.append((Syntagm(tuple(tokens), pause, injected), feats))
+    return out
+
+
+def pair_case(rng: random.Random) -> tuple[list, list, PipelineConfig]:
+    """Two voices of one transcript, now and then with a syntagm too many or
+    a diverging word, and a config with a baseline window of 1 to n + 1."""
+    n = rng.choice([0, 1, 2, 3, 4, 6, 9, 14])
+    texts = [[rng.choice(PAIR_WORDS) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+    syn_texts = [[w.upper() if rng.random() < 0.1 else w for w in ws] for ws in texts]
+    edit = rng.random()
+    if edit < 0.04:
+        syn_texts.append(["encore"])
+    elif edit < 0.08 and n:
+        words = rng.choice(syn_texts)
+        words[rng.randrange(len(words))] = "autre"
+    nat = _voice(rng, texts, rng.choice([0.0, 0.0, 0.1, 0.5, 1.0]))
+    syn = _voice(rng, syn_texts, rng.choice([0.0, 0.0, 0.1, 0.5, 1.0]))
+    cfg = dataclasses.replace(rng.choice(CONFIGS), baseline_window=rng.randint(1, n + 1))
+    return nat, syn, cfg
+
+
+def corpus_outcome(nat: list, syn: list, cfg: PipelineConfig) -> str:
+    try:
+        deltas = annotate_corpus(nat, syn, cfg)
+    except ValueError as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return deltas_to_jsonl([delta_record(s.text, d) for (s, _), d in zip(nat, deltas)])
+
+
+def test_annotate_corpus_outcomes_match_pinned_digest():
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for _ in range(N_PAIRS):
+        digest.update(corpus_outcome(*pair_case(rng)).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == CORPUS_DIGEST
