@@ -1,12 +1,14 @@
 """Audio ingestion and preprocessing: WAV loading, resampling to 16 kHz,
 peak normalization and RMS-gated speech segmentation.
 
-All functions are pure: buffers are never modified in place, so they are safe
-to hand to concurrent workers.
+The public functions are pure: buffers are never modified in place, so they
+are safe to hand to concurrent workers. Only ``pipeline._prepare_audio``
+scales an array in place: the resampled one, which it alone holds.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from math import gcd
@@ -80,7 +82,10 @@ class SegmentBounds:
             raise ValueError(f"invalid bounds [{self.start_ms}, {self.end_ms})")
 
 
-def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int) -> np.ndarray:
+def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int,
+                n_channels: int) -> np.ndarray:
+    """The data chunk's samples scaled to [-1, +1], the two channels of a
+    stereo file averaged."""
     if audio_format not in (1, 3):
         raise UnsupportedFormatError(f"{path}: WAV audio format tag {audio_format} not supported")
     if audio_format == 3 and bits != 32:
@@ -96,21 +101,47 @@ def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int) -> np
             # one NaN would spread through peak normalization to every sample
             raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
         data = single.astype(np.float64)
-        return np.clip(data, -1.0, 1.0, out=data)
-    if bits == 8:
-        data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-        return (data - 128.0) / 128.0
-    if bits == 16:
-        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        np.clip(data, -1.0, 1.0, out=data)
+        if n_channels == 1:
+            return data
+        n = len(data) // 2
+        mixed = data[0 : 2 * n : 2] + data[1 : 2 * n : 2]
+        # a pair of negative zeros (only float samples hold them) averages
+        # to +0.0, as numpy's mean gives: it sums from 0.0
+        mixed += 0.0
+        mixed *= 0.5  # exactly (a + b) / 2
+        return mixed
     if bits == 24:
         # after one leading zero byte, each 3-byte sample is the top three
         # bytes of a little-endian int32 that starts one byte before it; an
-        # arithmetic shift by 8 drops the byte below and extends the sign
+        # arithmetic shift by 8 (in _signed) drops the byte below and
+        # extends the sign
         padded = bytearray(len(raw) + 1)
         padded[1:] = raw
-        vals = np.ndarray((len(raw) // 3,), "<i4", buffer=padded, strides=(3,))
-        return (vals >> 8) * (1.0 / (1 << 23))
-    return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
+        ints = np.ndarray((len(raw) // 3,), "<i4", buffer=padded, strides=(3,))
+    else:
+        ints = np.frombuffer(raw, dtype=np.uint8 if bits == 8 else f"<i{bits // 8}")
+    # a power of two, so every scaled sample, and the average of two, is exact
+    scale = 1.0 / (1 << (bits - 1)) / n_channels
+    if n_channels == 1:
+        return np.multiply(_signed(ints, bits), scale, dtype=np.float64)
+    # the channels' sum is exact in an integer type wide enough to hold it,
+    # and scaling it once gives the bits of averaging the scaled channels
+    n = len(ints) // 2
+    wide = {8: np.int16, 16: np.int32, 24: np.int32, 32: np.int64}[bits]
+    total = _signed(ints[0 : 2 * n : 2], bits).astype(wide, copy=False)
+    total += _signed(ints[1 : 2 * n : 2], bits)
+    return np.multiply(total, scale, dtype=np.float64)
+
+
+def _signed(ints: np.ndarray, bits: int) -> np.ndarray:
+    """Sample values of one integer layout: 8-bit WAV is offset binary, and
+    24-bit samples sit in the top three bytes of ``ints``."""
+    if bits == 8:
+        return np.subtract(ints, 128, dtype=np.int16)
+    if bits == 24:
+        return ints >> 8
+    return ints
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -155,30 +186,25 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if sample_rate == 0:
         raise UnsupportedRateError(f"{path}: sample rate 0 Hz")
 
-    flat = _decode_pcm(path, data, bits, audio_format)
-    if n_channels == 2:
-        n = len(flat) // 2
-        mixed = flat[0 : 2 * n : 2] + flat[1 : 2 * n : 2]
-        if audio_format == 3:
-            # a pair of negative zeros (only float samples hold them) averages
-            # to +0.0, as numpy's mean gives: it sums from 0.0
-            mixed += 0.0
-        mixed *= 0.5  # exactly (a + b) / 2
-        flat = mixed
-    if not len(flat):
+    samples = _decode_pcm(path, data, bits, audio_format, n_channels)
+    if not len(samples):
         raise UnsupportedFormatError(f"{path}: data chunk holds no whole sample")
-    return AudioBuffer(flat, sample_rate)
+    return AudioBuffer(samples, sample_rate)
 
 
+@functools.lru_cache(maxsize=4)  # a corpus has few source rates; a kernel has 64 * up taps
 def _sinc_kernel(up: int, down: int, taps_per_phase: int = 64, beta: float = 8.6) -> np.ndarray:
     # Kaiser-windowed sinc at the upsampled rate; odd length keeps the
     # group delay an integer so resample_poly centers the output exactly.
+    # Read-only, as every caller shares it: resample_poly scales a copy.
     n = taps_per_phase * up
     if n % 2 == 0:
         n += 1
     m = np.arange(n) - (n - 1) / 2.0
     cutoff = 1.0 / max(up, down)  # relative to upsampled Nyquist
-    return cutoff * np.sinc(cutoff * m) * np.kaiser(n, beta)
+    kernel = cutoff * np.sinc(cutoff * m) * np.kaiser(n, beta)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def resample_to_16k(buf: AudioBuffer) -> AudioBuffer:
@@ -206,10 +232,20 @@ def peak_normalize(buf: AudioBuffer) -> AudioBuffer:
     """
     if len(buf.samples) == 0:
         raise ValueError("cannot normalize an empty buffer")
-    peak = float(np.max(np.abs(buf.samples)))
+    peak = peak_amplitude(buf.samples)
     if peak == 0.0 or peak == 1.0:
         return buf
     return AudioBuffer(buf.samples / peak, buf.sample_rate)
+
+
+def peak_amplitude(samples: np.ndarray) -> float:
+    """The largest absolute sample, ``max(abs(samples))`` without building
+    ``abs(samples)``."""
+    return float(max(samples.max(), -samples.min()))
+
+
+# samples per block of window_power's running sum
+_RUN_CHUNK = 1 << 16
 
 
 def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
@@ -218,13 +254,31 @@ def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     n_windows = (len(samples) - win) // hop + 1
     if n_windows <= 0:
         return np.empty(0)
-    # the running sum of squares from 0, built in place in one array
-    sq = np.empty(len(samples) + 1)
-    sq[0] = 0.0
-    np.multiply(samples, samples, out=sq[1:])
-    np.cumsum(sq[1:], out=sq[1:])
-    starts = np.arange(n_windows) * hop
-    return (sq[starts + win] - sq[starts]) / win
+    # window k's power is the difference of the running sum of squares at
+    # its edges k * hop and k * hop + win. The sum is built a block at a
+    # time, each block's cumsum starting from the sum before it, so it adds
+    # in the order one cumsum over the whole input would (the same bits)
+    # and no full-length array is held
+    last = (n_windows - 1) * hop + win
+    samples = samples[:last]
+    block = np.empty(min(last, _RUN_CHUNK) + 1)
+    at_start, at_end = np.empty(n_windows), np.empty(n_windows)
+    total = 0.0
+    for a in range(0, last + 1, _RUN_CHUNK):
+        x = samples[a : a + _RUN_CHUNK]
+        run = block[: len(x) + 1]  # run[j] is the running sum at index a + j
+        run[0] = total
+        np.multiply(x, x, out=run[1:])
+        np.cumsum(run, out=run)
+        for edge, offset in ((at_start, 0), (at_end, win)):
+            # the windows whose edge k * hop + offset lies in [a, a + len(x)]
+            k0 = max(0, -((offset - a) // hop))
+            k1 = min(n_windows, (a + len(x) - offset) // hop + 1)
+            if k1 > k0:
+                j = k0 * hop + offset - a
+                edge[k0:k1] = run[j : j + (k1 - k0 - 1) * hop + 1 : hop]
+        total = run[-1]
+    return (at_end - at_start) / win
 
 
 def detect_speech_segments(

@@ -19,6 +19,7 @@ per-syntagm jump clamp; volume is not smoothed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -295,11 +296,17 @@ def deltas_to_jsonl(records: list[dict]) -> str:
 
 def write_atomic(path: Path, content: str):
     """Write ``content`` as UTF-8 to ``path`` through a temporary file and a
-    rename, so that no reader sees it half written."""
+    rename, so that no reader sees it half written. If either step fails,
+    the temporary file is removed and the error raised as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(text: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,23 @@ def tone(freq: float, duration_s: float, rate: int, amplitude: float = 0.5,
          phase: float = 0.0) -> np.ndarray:
     t = np.arange(int(round(duration_s * rate))) / rate
     return amplitude * np.sin(2 * np.pi * freq * t + phase)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory it held at once beyond what was
+    held before the call, in bytes, as tracemalloc counts it (numpy arrays
+    included)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def long_textgrid(intervals: list[tuple[float, float, str]], tier_name: str = "words") -> str:

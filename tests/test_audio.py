@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from prosodika import audio
 from prosodika.audio import (
     AudioBuffer,
     SegmentBounds,
@@ -12,11 +13,13 @@ from prosodika.audio import (
     UnsupportedRateError,
     detect_speech_segments,
     load_wav,
+    peak_amplitude,
     peak_normalize,
     resample_to_16k,
+    window_power,
 )
 
-from conftest import tone, write_wav_int16, write_wav_raw
+from conftest import tone, traced_peak, write_wav_int16, write_wav_raw
 
 
 class TestLoadWav:
@@ -166,6 +169,25 @@ class TestBitExactDecode:
         assert samples.tobytes() == np.array([c / 2**23 for c in codes]).tobytes()
         assert samples[3] == 1.0 - 2.0**-23 and samples[4] == -1.0
 
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32])
+    def test_stereo_integer_mix_matches_float_mix(self, tmp_path, bits):
+        # the float mix: each channel scaled to [-1, +1], then (a + b) * 0.5
+        lo, hi = (0, 255) if bits == 8 else (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+        zero = 128 if bits == 8 else 0
+        pairs = [(lo, lo), (hi, hi), (lo, hi), (hi, lo), (zero, zero), (lo, zero),
+                 (hi, zero), (zero + 1, zero - 1), (zero - 1, zero - 1), (lo + 1, hi)]
+        rng = np.random.default_rng(bits)
+        pairs += [tuple(p) for p in rng.integers(lo, hi, (500, 2), endpoint=True)]
+        codes = np.array(pairs, dtype=np.int64).ravel()
+        width = bits // 8
+        data = b"".join(int(c).to_bytes(width, "little", signed=bits != 8) for c in codes)
+        path = tmp_path / "st.wav"
+        write_wav_raw(path, data, 44100, channels=2, bits=bits)
+        flat = (codes - zero) / float(2 ** (bits - 1))
+        mixed = flat[0::2] + flat[1::2]
+        mixed *= 0.5
+        assert load_wav(path).samples.tobytes() == mixed.tobytes()
+
     @pytest.mark.parametrize("channels", [1, 2])
     def test_no_whole_sample_or_frame(self, tmp_path, channels):
         path = tmp_path / "a.wav"
@@ -203,6 +225,19 @@ class TestResample:
         out = resample_to_16k(buf)
         assert abs(len(out) - 32000) <= 1
 
+    def test_kernel_is_cached_and_read_only(self):
+        kernel = audio._sinc_kernel(160, 441)
+        assert audio._sinc_kernel(160, 441) is kernel
+        assert not kernel.flags.writeable
+        fresh = audio._sinc_kernel.__wrapped__(160, 441)
+        assert kernel.tobytes() == fresh.tobytes()
+        from scipy.signal import resample_poly
+
+        buf = AudioBuffer(tone(440, 0.3, 44100), 44100)
+        expected = resample_poly(buf.samples, 160, 441, window=fresh)
+        assert resample_to_16k(buf).samples.tobytes() == expected.tobytes()
+        assert audio._sinc_kernel(160, 441).tobytes() == fresh.tobytes()
+
     def test_rejects_low_rate(self):
         buf = AudioBuffer(np.zeros(4000), 4000)
         with pytest.raises(UnsupportedRateError):
@@ -230,6 +265,60 @@ class TestPeakNormalize:
         once = peak_normalize(buf)
         twice = peak_normalize(once)
         assert np.array_equal(once.samples, twice.samples)
+
+    @given(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=64))
+    @example([-0.0])
+    @example([-0.5, -0.25])
+    def test_peak_amplitude_is_max_abs(self, values):
+        x = np.array(values)
+        assert peak_amplitude(x) == float(np.max(np.abs(x)))
+
+    def test_returns_a_new_buffer_and_leaves_its_input(self):
+        buf = AudioBuffer(np.array([0.5, -0.25, 0.1]), 16000)
+        before = buf.samples.tobytes()
+        out = peak_normalize(buf)
+        assert out is not buf and out.samples is not buf.samples
+        assert buf.samples.tobytes() == before
+        assert out.samples.tobytes() == (buf.samples / 0.5).tobytes()
+
+
+def one_array_window_power(samples, win, hop):
+    """window_power as one running-sum array over the whole input."""
+    n_windows = (len(samples) - win) // hop + 1
+    if n_windows <= 0:
+        return np.empty(0)
+    sq = np.empty(len(samples) + 1)
+    sq[0] = 0.0
+    np.multiply(samples, samples, out=sq[1:])
+    np.cumsum(sq[1:], out=sq[1:])
+    starts = np.arange(n_windows) * hop
+    return (sq[starts + win] - sq[starts]) / win
+
+
+class TestWindowPower:
+    # (win, hop): the RMS gate at 16 and 44.1 kHz, the loudness blocks at both
+    WINDOWS = [(400, 160), (1102, 441), (6400, 1600), (17640, 4410)]
+
+    @pytest.mark.parametrize("win, hop", WINDOWS)
+    def test_matches_one_running_sum_bit_for_bit(self, win, hop):
+        chunk = audio._RUN_CHUNK
+        rng = np.random.default_rng(win)
+        # loud and quiet stretches, so that the running sum's rounding matters
+        signal = rng.normal(0, 1, 3 * chunk + 7) * np.repeat(
+            rng.uniform(1e-4, 1.0, 3 * chunk // 1000 + 1), 1000)[: 3 * chunk + 7]
+        for n in (0, win - 1, win, win + hop, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+            x = signal[:n]
+            got = window_power(x, win, hop)
+            assert got.tobytes() == one_array_window_power(x, win, hop).tobytes(), n
+            assert len(got) == max(0, (n - win) // hop + 1)
+
+    def test_detect_speech_segments_adds_little_memory(self):
+        n = 8 * audio._RUN_CHUNK
+        buf = AudioBuffer(np.tile(tone(440, 1.0, 16000), n // 16000 + 1)[:n], 16000)
+        detect_speech_segments(buf)  # lazy set-up outside the trace
+        segments, peak = traced_peak(detect_speech_segments, buf)
+        assert segments == [SegmentBounds(0, 10 * ((n - 400) // 160) + 25)]
+        assert peak <= buf.samples.nbytes / 4
 
 
 class TestDetectSpeechSegments:

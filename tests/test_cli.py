@@ -416,6 +416,16 @@ class TestScore:
         assert data["attribute_errors"]["pitch_pct"]["mae"] == pytest.approx(1.0)
         assert data["attribute_errors"]["break_ms"]["mae"] == pytest.approx(50.0)
 
+    def test_report_path_that_is_a_directory_exits_2_and_leaves_nothing(
+            self, runner, annotated, tmp_path):
+        ssml_path = annotated / "out" / "pair00.ssml"
+        report = tmp_path / "report.json"
+        report.mkdir()
+        result = runner.invoke(main, ["score", str(ssml_path), str(ssml_path), "-o", str(report)])
+        assert result.exit_code == 2, result.output
+        assert "report.json" in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_missing_segment_exit_4(self, runner, annotated, tmp_path):
         pred = tmp_path / "pred.ssml"
         lines = (annotated / "out" / "pair00.ssml").read_text().strip().splitlines()

@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosodika.audio import SegmentBounds
+from prosodika.audio import SegmentBounds, load_wav, peak_normalize, resample_to_16k
 from prosodika.pipeline import (
     ManifestError,
     annotate_pair,
     assign_segments,
     load_manifest,
     pick_words_tier,
+    prepare_audio,
     syntagms_from_textgrid,
 )
 from prosodika.prosody import PipelineConfig
@@ -26,12 +27,49 @@ from conftest import (
     NAT_PAUSE_MS,
     build_e2e_corpus,
     long_textgrid,
+    tone,
+    traced_peak,
+    write_wav_int16,
+    write_wav_raw,
 )
 
 
 def syntagm(words_ms):
     toks = tuple(Token(WORD, f"w{i}", a, b) for i, (a, b) in enumerate(words_ms))
     return Syntagm(toks, 0)
+
+
+def write_test_wav(path: Path, kind: str) -> Path:
+    if kind == "mono-16k":
+        write_wav_int16(path, tone(220, 2.0, 16000, amplitude=0.4), 16000)
+    elif kind == "mono-16k-full-scale":  # -32768 reads as -1.0: nothing to scale
+        write_wav_int16(path, tone(220, 2.0, 16000, amplitude=1.5), 16000)
+    else:  # stereo 24-bit at 44.1 kHz
+        frames = np.stack([tone(220, 2.0, 44100, 0.4), tone(330, 2.0, 44100, 0.3)], axis=1)
+        codes = np.clip(np.round(frames * 2**23), -(2**23), 2**23 - 1).astype("<i4")
+        data = codes.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        write_wav_raw(path, data, 44100, channels=2, bits=24)
+    return path
+
+
+class TestPrepareAudio:
+    @pytest.mark.parametrize("kind", ["mono-16k", "mono-16k-full-scale", "stereo-44k-24bit"])
+    def test_equals_the_public_stages(self, tmp_path, kind):
+        path = write_test_wav(tmp_path / "a.wav", kind)
+        expected = peak_normalize(resample_to_16k(load_wav(path)))
+        got = prepare_audio(path)
+        assert got.sample_rate == 16000
+        assert got.samples.tobytes() == expected.samples.tobytes()
+        assert not got.samples.flags.writeable
+
+    def test_holds_one_prepared_array(self, tmp_path):
+        path = tmp_path / "long.wav"
+        write_wav_int16(path, tone(220, 40.0, 16000, amplitude=0.4), 16000)
+        prepare_audio(path)  # lazy set-up outside the trace
+        buf, peak = traced_peak(prepare_audio, path)
+        data_bytes = 2 * len(buf)
+        # the WAV's bytes and the array decoded from them, never a second array
+        assert peak <= buf.samples.nbytes + data_bytes + 2**20
 
 
 class TestAssignSegments:

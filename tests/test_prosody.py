@@ -15,6 +15,7 @@ from prosodika.prosody import (
     rolling_baseline,
     smooth_series,
     volume_delta,
+    write_atomic,
 )
 from prosodika.syntagms import WORD, Syntagm, Token
 
@@ -393,3 +394,10 @@ class TestConfig:
             PipelineConfig(pitch_clip_semitones=-1)
         with pytest.raises(ValueError):
             PipelineConfig(baseline_window=0)
+
+
+class TestWriteAtomic:
+    def test_failed_write_removes_the_temporary_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(tmp_path / "a.txt", "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
