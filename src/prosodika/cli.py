@@ -1,8 +1,8 @@
 """Batch front door: segment, annotate, score, stats, census, validate-ssml.
 
 Exit codes are a stable contract for CI harnesses:
-  0 success, 2 I/O error, 3 parse/format error, 4 pairing error,
-  5 empty input.
+  0 success, 2 I/O error or usage error, 3 parse/format error, 4 pairing
+  error, 5 empty input.
 Every documented input error is an OSError (2) or a ValueError (3, or 4 for
 a PairingError); any other exception is a bug and keeps its traceback.
 
@@ -14,14 +14,13 @@ into every run log.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-
-import click
-from click.core import ParameterSource
 
 from . import metrics, ssml
 from .prosody import (
@@ -39,6 +38,7 @@ from .textgrid import split_lines
 EXIT_OK = 0
 EXIT_BUG = 1  # an exception outside INPUT_ERRORS, as an uncaught one exits
 EXIT_IO = 2
+EXIT_USAGE = 2  # a command line that does not parse
 EXIT_FORMAT = 3
 EXIT_PAIRING = 4
 EXIT_EMPTY = 5
@@ -57,8 +57,15 @@ def _classify(exc: BaseException) -> int:
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr, flush=True)
     sys.exit(code)
+
+
+def _usage_error(option: str | None, reason: str):
+    """Exit 2 with one ``Error: ...`` line, which names the option at fault."""
+    head = f"Invalid value for '{option}': " if option else ""
+    print(f"Error: {head}{reason}", file=sys.stderr, flush=True)
+    sys.exit(EXIT_USAGE)
 
 
 def _read(path: str, parse):
@@ -86,7 +93,9 @@ def _parse_config(text: str) -> dict:
 
 
 def build_config(config_path: str | None, overrides: dict | None = None) -> PipelineConfig:
-    mapping = _read(config_path, _parse_config) if config_path else {}
+    """``overrides`` over the config file at ``config_path`` or, if None, PROSODIKA_CONFIG."""
+    path = os.environ.get("PROSODIKA_CONFIG") if config_path is None else config_path
+    mapping = _read(path, _parse_config) if path else {}
     return PipelineConfig.from_mapping({**mapping, **(overrides or {})})
 
 
@@ -124,44 +133,25 @@ def _json_numbers(values: list, key: str, integer: bool = False) -> list:
     return values
 
 
-def _finite(ctx, param, value: float) -> float:
-    """Option callback: click's FloatRange lets nan and inf through."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number")
-    return value
+def _number(kind: type, low: float = -math.inf, closed: bool = False):
+    """argparse type: a finite ``kind`` above ``low``, or at least ``low`` if ``closed``."""
+    def convert(text: str):
+        value = kind(text)  # argparse reports a ValueError as an invalid value
+        if not (low <= value if closed else low < value) or not value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text} is not in the range {'[' if closed else '('}{low:g}, inf)")
+        return value
+    convert.__name__ = kind.__name__  # the type argparse's message names
+    return convert
 
 
 def _paired(pred_option: str, pred, gold_option: str, gold):
     """Usage error unless both or neither of a pred/gold option pair is given."""
     if (pred is None) != (gold is None):
         given, missing = (pred_option, gold_option) if gold is None else (gold_option, pred_option)
-        raise click.BadParameter(f"given without {missing}", param_hint=f"'{given}'")
+        _usage_error(given, f"given without {missing}")
 
 
-class _Cli(click.Group):
-    """Command group whose ``invoke`` turns a documented input error into a
-    single ``error: ...`` line and its exit code."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except INPUT_ERRORS as exc:
-            _fail(_classify(exc), str(exc))
-
-
-@click.group(cls=_Cli)
-def main():
-    """Prosody annotation and SSML evaluation toolkit."""
-
-
-@main.command()
-@click.argument("audio", type=click.Path())
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Bounds file (TSV start_ms/end_ms); stdout when omitted.")
-@click.option("--threshold-dbfs", default=-35.0, show_default=True, callback=_finite,
-              help="RMS silence threshold relative to full scale.")
-@click.option("--min-gap-ms", default=300, show_default=True, type=click.IntRange(min=0),
-              help="Silences shorter than this merge into speech.")
 def segment(audio, output, threshold_dbfs, min_gap_ms):
     """Detect speech segments in a WAV file."""
     from . import pipeline
@@ -172,7 +162,7 @@ def segment(audio, output, threshold_dbfs, min_gap_ms):
     if output:
         write_atomic(Path(output), lines)
     else:
-        click.echo(lines, nl=False)
+        print(lines, end="", flush=True)
 
 
 def _annotate_one(args) -> tuple[int, str]:
@@ -221,29 +211,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@main.command()
-@click.argument("manifest", type=click.Path())
-@click.option("--config", envvar="PROSODIKA_CONFIG", type=click.Path(), default=None,
-              help="Pipeline config file (key = value).")
-@click.option("--lexicon", type=click.Path(), default=None,
-              help="Function-word list overriding the bundled French one.")
-@click.option("--azure-silence-wrap", is_flag=True,
-              help="Bracket each prosody element with mstts:silence directives.")
-@click.option("--full-document", is_flag=True,
-              help="Wrap each segment in a complete speak envelope.")
-@click.option("--suppress-neutral", is_flag=True,
-              help="Drop markup for all-zero deltas and zero breaks.")
-@click.option("--voice", default=ssml.DEFAULT_VOICE, show_default=True,
-              help="Voice of the speak envelope; needs --full-document.")
-@click.option("--jobs", default=None, type=click.IntRange(min=1),
-              help="Parallel workers, at most one per pair; defaults to the CPUs this "
-                   "process may run on.")
 def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
              suppress_neutral, voice, jobs):
     """Annotate every pair in a job manifest: deltas, SSML, and a run log."""
-    if not full_document and (click.get_current_context().get_parameter_source("voice")
-                              is not ParameterSource.DEFAULT):
-        raise click.BadParameter("given without --full-document", param_hint="'--voice'")
+    if voice is not None and not full_document:
+        _usage_error("--voice", "given without --full-document")
     # numpy loads with pipeline here, not with the CLI, so text commands start without it
     from . import pipeline
 
@@ -257,7 +229,7 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
         azure_silence_wrap=azure_silence_wrap,
         full_document=full_document,
         suppress_neutral=suppress_neutral,
-        voice=voice,
+        voice=ssml.DEFAULT_VOICE if voice is None else voice,
     )
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
     workers = min(jobs or _usable_cpus(), len(pairs))  # a fork-started pool starts them all
@@ -278,29 +250,10 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
                 except BrokenProcessPool as exc:  # a worker died, e.g. killed
                     outcomes.append((_classify(exc), f"{pair.name}: FAILED ({exc})"))
     for code, line in outcomes:
-        click.echo(line, err=code != EXIT_OK)
+        print(line, file=sys.stderr if code else sys.stdout, flush=True)
     sys.exit(max(code for code, _ in outcomes))
 
 
-@main.command()
-@click.argument("pred_ssml", type=click.Path())
-@click.argument("gold_ssml", type=click.Path())
-@click.option("--pred-breaks", type=click.Path(), default=None,
-              help="Predicted break positions (JSON) for F1/perplexity.")
-@click.option("--gold-breaks", type=click.Path(), default=None,
-              help="Gold break positions (JSON).")
-@click.option("--pred-timings", type=click.Path(), default=None,
-              help="Predicted word start times in ms (JSON list) for ARR.")
-@click.option("--gold-timings", type=click.Path(), default=None,
-              help="Gold word start times in ms (JSON list).")
-@click.option("--tau-ms", default=50.0, show_default=True, type=click.FloatRange(min=0),
-              callback=_finite, help="ARR temporal tolerance.")
-@click.option("--window-s", default=15.0, show_default=True,
-              type=click.FloatRange(min=0, min_open=True), callback=_finite,
-              help="ARR macro-averaging window.")
-@click.option("--macro", is_flag=True, help="Average errors per segment first.")
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Write the full report as JSON.")
 def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
           gold_timings, tau_ms, window_s, macro, output):
     """Score predicted SSML against gold SSML (MAE/RMSE, census, break F1,
@@ -332,7 +285,7 @@ def score(pred_ssml, gold_ssml, pred_breaks, gold_breaks, pred_timings,
         break_perplexity=ppl,
         arr_score=arr_score,
     )
-    click.echo(report.table(tau_ms, window_s))
+    print(report.table(tau_ms, window_s), flush=True)
     if output:
         write_atomic(Path(output), json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
@@ -349,18 +302,9 @@ def _summarize(key: str, values: list[float]) -> metrics.DistributionSummary:
     return summary
 
 
-@main.command()
-@click.argument("delta_files", type=click.Path(), nargs=-1)
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Write the summary as JSON.")
-@click.option("--histogram-csv", type=click.Path(), default=None,
-              help="Write histogram bins as CSV for plotting.")
-@click.option("--exclude-injected-breaks", is_flag=True,
-              help="Drop synthesized sentence-final pauses from the break "
-                   "distribution.")
-def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
+def stats(files, output, histogram_csv, exclude_injected_breaks):
     """Corpus statistics over annotated delta records."""
-    records = [rec for path in delta_files for rec in _read(path, read_delta_records)]
+    records = [rec for path in files for rec in _read(path, read_delta_records)]
     if not records:
         _fail(EXIT_EMPTY, "no delta records given")
     summaries = {key: _summarize(key, [float(r[key]) for r in records])
@@ -376,15 +320,13 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
         "prosody_tags": len(records),
         "break_tags": sum(1 for r in records if r["break_ms"] > 0),
     }
-    click.echo("corpus totals:")
+    print("corpus totals:", flush=True)
     for key, value in totals.items():
-        click.echo(f"  {key}: {value}")
-    click.echo("distributions (min / q1 / median / q3 / max):")
+        print(f"  {key}: {value}", flush=True)
+    print("distributions (min / q1 / median / q3 / max):", flush=True)
     for name, summary in summaries.items():
-        click.echo(
-            f"  {name}: {summary.minimum:.2f} / {summary.q1:.2f} / "
-            f"{summary.median:.2f} / {summary.q3:.2f} / {summary.maximum:.2f}"
-        )
+        print(f"  {name}: {summary.minimum:.2f} / {summary.q1:.2f} / {summary.median:.2f} / "
+              f"{summary.q3:.2f} / {summary.maximum:.2f}", flush=True)
     if output:
         payload = {
             "totals": totals,
@@ -395,45 +337,134 @@ def stats(delta_files, output, histogram_csv, exclude_injected_breaks):
         write_atomic(Path(histogram_csv), metrics.histogram_csv(summaries))
 
 
-@main.command()
-@click.argument("ssml_files", type=click.Path(), nargs=-1)
-def census(ssml_files):
+def census(files):
     """Tag census (prosody/break counts per segment) over SSML corpora."""
-    if not ssml_files:
+    if not files:
         _fail(EXIT_EMPTY, "no SSML files given")
-    result = metrics.tag_census([_read(path, ssml.parse_corpus) for path in ssml_files])
-    click.echo(f"segments: {result.segments}")
-    click.echo(f"prosody tags: {result.prosody_total} (mean {result.prosody_mean:.2f}/segment)")
-    click.echo(f"break tags: {result.break_total} (mean {result.break_mean:.2f}/segment)")
-    click.echo(f"words: {result.word_total}")
-    click.echo(f"characters: {result.char_total}")
+    result = metrics.tag_census([_read(path, ssml.parse_corpus) for path in files])
+    print(f"segments: {result.segments}", flush=True)
+    print(f"prosody tags: {result.prosody_total} (mean {result.prosody_mean:.2f}/segment)",
+          flush=True)
+    print(f"break tags: {result.break_total} (mean {result.break_mean:.2f}/segment)", flush=True)
+    print(f"words: {result.word_total}", flush=True)
+    print(f"characters: {result.char_total}", flush=True)
 
 
-@main.command("validate-ssml")
-@click.argument("ssml_files", type=click.Path(), nargs=-1)
-@click.option("--config", envvar="PROSODIKA_CONFIG", type=click.Path(), default=None,
-              help="Pipeline config for the clip-range checks.")
-def validate_ssml(ssml_files, config):
+def validate_ssml(files, config):
     """Check SSML files against the subset invariants and clip ranges."""
-    if not ssml_files:
+    if not files:
         _fail(EXIT_EMPTY, "no SSML files given")
     cfg = build_config(config)
     code = EXIT_OK
-    for path in ssml_files:
+    for path in files:
         try:
             doc = _read(path, ssml.parse_corpus)
         except INPUT_ERRORS as exc:  # reported per file; the rest are still checked
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr, flush=True)
             code = max(code, _classify(exc))
             continue
         violations = ssml.validate(doc, cfg)
         for v in violations:
-            click.echo(f"{path}: {v}", err=True)
+            print(f"{path}: {v}", file=sys.stderr, flush=True)
         if violations:
             code = max(code, EXIT_FORMAT)  # violations are a result, not an error
         else:
-            click.echo(f"{path}: ok")
+            print(f"{path}: ok", flush=True)
     sys.exit(code)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser without ``-h`` or abbreviated options that raises its usage errors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, exit_on_error=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _parser(prog: str | None) -> _Parser:
+    """The command line's parser, built once per program name: building costs ten parses."""
+    parser = _Parser(prog=prog, description="Prosody annotation and SSML evaluation toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *positionals) -> _Parser:
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        for name in positionals:
+            sub.add_argument(name)
+        return sub
+
+    sub = command(segment, "audio")
+    sub.add_argument("-o", "--output",
+                     help="Bounds file (TSV start_ms/end_ms); stdout when omitted.")
+    sub.add_argument("--threshold-dbfs", type=_number(float), default=-35.0,
+                     help="RMS silence threshold relative to full scale (default: %(default)s).")
+    sub.add_argument("--min-gap-ms", type=_number(int, 0, closed=True), default=300,
+                     help="Silences shorter than this merge into speech (default: %(default)s).")
+    sub = command(annotate, "manifest")
+    sub.add_argument("--config", help="Pipeline config file (key = value).")
+    sub.add_argument("--lexicon", help="Function-word list overriding the bundled French one.")
+    sub.add_argument("--azure-silence-wrap", action="store_true",
+                     help="Bracket each prosody element with mstts:silence directives.")
+    sub.add_argument("--full-document", action="store_true",
+                     help="Wrap each segment in a complete speak envelope.")
+    sub.add_argument("--suppress-neutral", action="store_true",
+                     help="Drop markup for all-zero deltas and zero breaks.")
+    sub.add_argument("--voice", help="Voice of the speak envelope; needs --full-document "
+                                     f"(default: {ssml.DEFAULT_VOICE}).")
+    sub.add_argument("--jobs", type=_number(int, 1, closed=True),
+                     help="Parallel workers, at most one per pair; defaults to the CPUs this "
+                          "process may run on.")
+    sub = command(score, "pred_ssml", "gold_ssml")
+    sub.add_argument("--pred-breaks", help="Predicted break positions (JSON) for F1/perplexity.")
+    sub.add_argument("--gold-breaks", help="Gold break positions (JSON).")
+    sub.add_argument("--pred-timings",
+                     help="Predicted word start times in ms (JSON list) for ARR.")
+    sub.add_argument("--gold-timings", help="Gold word start times in ms (JSON list).")
+    sub.add_argument("--tau-ms", type=_number(float, 0, closed=True), default=50.0,
+                     help="ARR temporal tolerance (default: %(default)s).")
+    sub.add_argument("--window-s", type=_number(float, 0), default=15.0,
+                     help="ARR macro-averaging window (default: %(default)s).")
+    sub.add_argument("--macro", action="store_true", help="Average errors per segment first.")
+    sub.add_argument("-o", "--output", help="Write the full report as JSON.")
+    sub = command(stats)
+    sub.add_argument("files", nargs="*", metavar="DELTA_FILE")
+    sub.add_argument("-o", "--output", help="Write the summary as JSON.")
+    sub.add_argument("--histogram-csv", help="Write histogram bins as CSV for plotting.")
+    sub.add_argument("--exclude-injected-breaks", action="store_true",
+                     help="Drop synthesized sentence-final pauses from the break distribution.")
+    command(census).add_argument("files", nargs="*", metavar="SSML_FILE")
+    sub = command(validate_ssml)
+    sub.add_argument("files", nargs="*", metavar="SSML_FILE")
+    sub.add_argument("--config", help="Pipeline config for the clip-range checks.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None):
+    """Run the command that ``args`` (default: ``sys.argv[1:]``) names. It always
+    ends in SystemExit: 0 on success, else the command's or a usage error's code."""
+    parser = _parser(prog_name)
+    try:
+        namespace, extras = parser.parse_known_args(args)
+        if extras:  # argparse leaves over the files given after an option
+            if "files" not in namespace or any(a != "-" and a.startswith("-") for a in extras):
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            namespace.files += extras
+    except argparse.ArgumentError as exc:
+        _usage_error(exc.argument_name, exc.message)
+    run = vars(namespace).pop("run")
+    try:
+        run(**vars(namespace))
+    except INPUT_ERRORS as exc:
+        _fail(_classify(exc), str(exc))
+    sys.exit(EXIT_OK)
+
+
+main.main = main  # perfbench/runner.py calls cli.main.main(args=..., prog_name=...)
 
 
 if __name__ == "__main__":

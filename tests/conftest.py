@@ -8,9 +8,12 @@ loudness, 0.8x word durations), so every expected delta is analytic.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,45 @@ CLICK_S = 0.02
 EXPECTED_PITCH_PCT = (2 ** (1.5 / 12) - 1) * 100  # clipped at P=1.5 st
 EXPECTED_RATE_PCT = 5.0  # +25% raw, x0.5 speedup gain, +0.5R ceiling
 EXPECTED_VOLUME_PCT = 10.0  # +3 dB -> +41.25% clipped at V
+
+
+@dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the uncaught one, or a SystemExit with a code not 0
+
+
+class _Tee(io.StringIO):
+    """A text stream that also writes everything to ``both``."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a command line in this process and captures its result."""
+
+    def invoke(self, cli, args) -> Result:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        code, exception = 0, None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli(args=list(args), prog_name="prosodika")
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:  # noqa: BLE001 - a bug is part of the result
+                code, exception = 1, exc
+        return Result(code, both.getvalue(), out.getvalue(), err.getvalue(), exception)
 
 
 def write_wav_int16(path: Path, samples: np.ndarray, rate: int, channels: int = 1):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from prosodika.audio import AudioBuffer
 from prosodika.cli import main as cli_main
@@ -41,6 +40,7 @@ from conftest import (
     EXPECTED_RATE_PCT,
     EXPECTED_VOLUME_PCT,
     NAT_PAUSE_MS,
+    CliRunner,
     build_e2e_corpus,
     tone,
 )

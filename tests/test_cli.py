@@ -5,10 +5,12 @@ import multiprocessing
 import os
 import pkgutil
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import prosodika
 from prosodika import cli, pipeline
@@ -29,6 +31,7 @@ from conftest import (
     SYN_F0,
     SYN_PAUSE_MS,
     SYN_WORD_S,
+    CliRunner,
     build_e2e_corpus,
     build_voice_track,
     long_textgrid,
@@ -629,6 +632,20 @@ class TestCensusAndValidate:
         result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
         assert result.exit_code == 0, result.output
 
+    def test_validate_reads_config_env(self, runner, tmp_path, monkeypatch):
+        p = tmp_path / "wide.ssml"
+        p.write_text('<prosody volume="+12.00%">mot</prosody>\n', encoding="utf-8")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("volume_clip_pct = 15\n", encoding="utf-8")
+        monkeypatch.setenv("PROSODIKA_CONFIG", str(cfg))
+        assert runner.invoke(main, ["validate-ssml", str(p)]).exit_code == 0
+        monkeypatch.setenv("PROSODIKA_CONFIG", "")  # reads as unset: the default clip range
+        assert runner.invoke(main, ["validate-ssml", str(p)]).exit_code == 3
+        monkeypatch.setenv("PROSODIKA_CONFIG", str(tmp_path / "missing.cfg"))
+        assert runner.invoke(main, ["validate-ssml", str(p)]).exit_code == 2
+        result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+
     def test_config_comment_holding_line_separator(self, runner, tmp_path):
         p = tmp_path / "wide.ssml"
         p.write_text('<prosody volume="+12.00%">mot</prosody>\n', encoding="utf-8")
@@ -636,6 +653,25 @@ class TestCensusAndValidate:
         cfg.write_text("volume_clip_pct = 15  # a\u2028b\n", encoding="utf-8")
         result = runner.invoke(main, ["validate-ssml", str(p), "--config", str(cfg)])
         assert result.exit_code == 0, result.output
+
+
+def test_validate_into_a_closed_pipe_exits_2(tmp_path):
+    """More than a pipe buffer of output, to a reader that has gone: one error
+    line and exit 2, with no 'Exception ignored' as the interpreter exits."""
+    doc = _ssml_doc(tmp_path)
+    src = str(Path(prosodika.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        args = [sys.executable, "-m", "prosodika.cli", "validate-ssml"] + [doc] * 2000
+        done = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert len(f"{doc}: ok\n") * 2000 > 65536
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 def _write(path, content):
@@ -770,7 +806,7 @@ def _missing_manifest(root):
 
 
 def _score_option(option, value):
-    """score with an out-of-range ARR option value, which click reports."""
+    """score with a bad ARR option value, which the argument parser reports."""
     def build(root):
         doc = _ssml_doc(root)
         timings = _write(root / "timings.json", GOOD_SIDE["timings"])
@@ -826,7 +862,7 @@ def _wav(data: bytes, rate=16000):
 
 
 def _jobs(value, n_pairs):
-    """annotate ``n_pairs`` pairs with an out-of-range --jobs, which click reports."""
+    """annotate ``n_pairs`` pairs with a bad --jobs, which the argument parser reports."""
     def build(root):
         data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
         data["pairs"] = [dict(data["pairs"][0], name=f"p{i}") for i in range(n_pairs)]
@@ -836,7 +872,7 @@ def _jobs(value, n_pairs):
 
 
 def _segment_option(option, value):
-    """segment of a tone with an out-of-range option value, which click reports."""
+    """segment of a tone with a bad option value, which the argument parser reports."""
     def build(root):
         path = root / "x.wav"
         write_wav_int16(path, tone(200, 1.0, 16000), 16000)
@@ -892,6 +928,7 @@ CONTRACT_ROWS = [
     ("score-tau-negative", _score_option("--tau-ms", "-0.5"), 2),
     ("score-tau-nan", _score_option("--tau-ms", "nan"), 2),
     ("score-tau-inf", _score_option("--tau-ms", "inf"), 2),
+    ("score-tau-not-a-number", _score_option("--tau-ms", "x"), 2),
     ("score-pred-breaks-alone", _score_unpaired("--pred-breaks", "--gold-breaks"), 2),
     ("score-gold-breaks-alone", _score_unpaired("--gold-breaks", "--pred-breaks"), 2),
     ("score-pred-timings-alone", _score_unpaired("--pred-timings", "--gold-timings"), 2),
@@ -909,9 +946,11 @@ CONTRACT_ROWS = [
     ("annotate-jobs-negative-one-pair", _jobs("-1", 1), 2),
     ("annotate-jobs-negative-two-pairs", _jobs("-1", 2), 2),
     ("annotate-jobs-zero", _jobs("0", 2), 2),
+    ("annotate-jobs-fraction", _jobs("1.5", 2), 2),
     ("segment-threshold-nan", _segment_option("--threshold-dbfs", "nan"), 2),
     ("segment-threshold-inf", _segment_option("--threshold-dbfs", "inf"), 2),
     ("segment-min-gap-negative", _segment_option("--min-gap-ms", "-500"), 2),
+    ("segment-min-gap-not-a-number", _segment_option("--min-gap-ms", "abc"), 2),
 ]
 
 
@@ -924,13 +963,32 @@ def test_exit_code_contract(runner, tmp_path, build, code):
     assert "Traceback" not in result.output
     assert result.exit_code == code, result.output
     if code:
-        # click reports a bad option value itself, naming the option; a pair
+        # the argument parser reports a bad option value, naming the option; a pair
         # that fails in annotate is reported on its own FAILED line
         prefixes = (("Error: Invalid value for ",) if named.startswith("--")
                     else ("error: ", "pair00: FAILED ("))
         errors = [line for line in result.output.splitlines() if line.startswith(prefixes)]
         assert len(errors) == 1, result.output
         assert named in errors[0]
+
+
+@pytest.mark.parametrize("args", [["score", "a.ssml"], ["census", "--no-such-option"],
+                                  ["no-such-command"]],
+                         ids=["missing-argument", "unknown-option", "unknown-command"])
+def test_usage_error_is_one_line(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and "Error: " not in result.stdout, result.output
+
+
+def test_files_before_and_after_an_option(runner, tmp_path):
+    doc, config = _ssml_doc(tmp_path), _write(tmp_path / "c.cfg", "")
+    result = runner.invoke(main, ["validate-ssml", doc, "--config", config, doc])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"{doc}: ok\n" * 2
 
 
 # each error class the package defines and can raise, with its exit code

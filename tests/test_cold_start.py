@@ -1,5 +1,6 @@
-"""Cold start: the package and the text commands load neither numpy nor
-scipy nor the process-pool machinery (multiprocessing, concurrent.futures);
+"""Cold start: the package and the text commands load nothing outside the
+standard library, and of it not the process-pool machinery
+(multiprocessing, concurrent.futures);
 only annotate and segment load scipy, and annotate loads numpy, the pipeline
 and scipy.signal before it forks its process pool. Each case runs in a fresh
 interpreter, since the test process has long since imported all of them."""
@@ -22,9 +23,12 @@ from conftest import build_e2e_corpus
 SRC = Path(prosodika.__file__).resolve().parents[1]
 
 # runs the CLI on argv[1:] (or only imports it, given no arguments) and
-# prints the exit code and the numpy, scipy and process-pool modules loaded
+# prints the exit code, the numpy, scipy and process-pool modules loaded, and
+# the modules it loaded from outside the standard library and the package
+# (site hooks may load some before it starts)
 COMMAND_PROBE = """
 import json, sys
+before = set(sys.modules)
 from prosodika import cli
 code = None
 if sys.argv[1:]:
@@ -34,7 +38,10 @@ if sys.argv[1:]:
         code = exc.code
 print(json.dumps({"code": code, **{top: [m for m in sys.modules if m.split(".")[0] == top]
                                    for top in ("numpy", "scipy", "multiprocessing",
-                                               "concurrent")}}))
+                                               "concurrent")},
+                  "outside": sorted(m for m in set(sys.modules) - before
+                                    if m.split(".")[0] not in {*sys.stdlib_module_names,
+                                                               "prosodika"})}))
 """
 
 # reads the package attribute argv[1] and prints the numpy modules loaded
@@ -108,11 +115,12 @@ def _inputs(root: Path) -> dict[str, list[str]]:
 
 @pytest.mark.parametrize("case", ["import", "score", "census", "stats", "validate-ssml"])
 def test_command_does_not_load_scipy(tmp_path, case):
-    """Nor numpy, multiprocessing or concurrent.futures."""
+    """Nor numpy, multiprocessing, concurrent.futures or anything else outside
+    the standard library."""
     args = _inputs(tmp_path)[case]
     seen = _probe(COMMAND_PROBE, args)
     assert seen == {"code": 0 if args else None, "numpy": [], "scipy": [],
-                    "multiprocessing": [], "concurrent": []}
+                    "multiprocessing": [], "concurrent": [], "outside": []}
 
 
 @pytest.mark.parametrize("name, loads_numpy", [("parse_corpus", False), ("TextGridTier", False),
