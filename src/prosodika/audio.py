@@ -34,6 +34,8 @@ class UnsupportedRateError(AudioError, ValueError):
 
 
 TARGET_RATE = 16_000
+_TAPS_PER_PHASE = 64  # of the resampling kernel, per polyphase branch
+_KAISER_BETA = 8.6  # the shape of the kernel's Kaiser window
 
 # silence gate defaults (threshold relative to digital full scale)
 SILENCE_THRESHOLD_DBFS = -35.0
@@ -193,16 +195,14 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
 
 @functools.lru_cache(maxsize=4)  # a corpus has few source rates; a kernel has 64 * up taps
-def _sinc_kernel(up: int, down: int, taps_per_phase: int = 64, beta: float = 8.6) -> np.ndarray:
+def _sinc_kernel(up: int, down: int) -> np.ndarray:
     # Kaiser-windowed sinc at the upsampled rate; odd length keeps the
     # group delay an integer so resample_poly centers the output exactly.
     # Read-only, as every caller shares it: resample_poly scales a copy.
-    n = taps_per_phase * up
-    if n % 2 == 0:
-        n += 1
+    n = _TAPS_PER_PHASE * up | 1
     m = np.arange(n) - (n - 1) / 2.0
     cutoff = 1.0 / max(up, down)  # relative to upsampled Nyquist
-    kernel = cutoff * np.sinc(cutoff * m) * np.kaiser(n, beta)
+    kernel = cutoff * np.sinc(cutoff * m) * np.kaiser(n, _KAISER_BETA)
     kernel.setflags(write=False)
     return kernel
 

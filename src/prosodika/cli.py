@@ -216,6 +216,8 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     """Annotate every pair in a job manifest: deltas, SSML, and a run log."""
     if voice is not None and not full_document:
         _usage_error("--voice", "given without --full-document")
+    if full_document and voice is None:
+        voice = ssml.DEFAULT_VOICE
     # numpy loads with pipeline here, not with the CLI, so text commands start without it
     from . import pipeline
 
@@ -225,12 +227,8 @@ def annotate(manifest, config, lexicon, azure_silence_wrap, full_document,
     cfg = build_config(config, manifest_overrides)
     words = (FunctionWordLexicon(_read(lexicon, split_lines)) if lexicon
              else FunctionWordLexicon.default())
-    emit_options = ssml.EmitOptions(
-        azure_silence_wrap=azure_silence_wrap,
-        full_document=full_document,
-        suppress_neutral=suppress_neutral,
-        voice=ssml.DEFAULT_VOICE if voice is None else voice,
-    )
+    emit_options = ssml.EmitOptions(azure_silence_wrap=azure_silence_wrap,
+                                    suppress_neutral=suppress_neutral, voice=voice)
     tasks = [(pair, cfg, words, emit_options) for pair in pairs]
     workers = min(jobs or _usable_cpus(), len(pairs))  # a fork-started pool starts them all
     if workers == 1:
@@ -425,9 +423,9 @@ def _parser(prog: str | None) -> _Parser:
     sub.add_argument("--pred-timings",
                      help="Predicted word start times in ms (JSON list) for ARR.")
     sub.add_argument("--gold-timings", help="Gold word start times in ms (JSON list).")
-    sub.add_argument("--tau-ms", type=_number(float, 0, closed=True), default=50.0,
+    sub.add_argument("--tau-ms", type=_number(float, 0, closed=True), default=metrics.ARR_TAU_MS,
                      help="ARR temporal tolerance (default: %(default)s).")
-    sub.add_argument("--window-s", type=_number(float, 0), default=15.0,
+    sub.add_argument("--window-s", type=_number(float, 0), default=metrics.ARR_WINDOW_S,
                      help="ARR macro-averaging window (default: %(default)s).")
     sub.add_argument("--macro", action="store_true", help="Average errors per segment first.")
     sub.add_argument("-o", "--output", help="Write the full report as JSON.")

@@ -111,8 +111,7 @@ def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -
     survivors = power[level > ABSOLUTE_GATE_LUFS]
     if survivors.size == 0:
         return SILENCE
+    # never empty: the loudest survivor is at least their mean, above this gate
     relative_gate = _OFFSET + 10.0 * np.log10(np.mean(survivors)) - RELATIVE_GATE_LU
     kept = power[(level > ABSOLUTE_GATE_LUFS) & (level > relative_gate)]
-    if kept.size == 0:
-        return SILENCE
     return float(_OFFSET + 10.0 * np.log10(np.mean(kept)))

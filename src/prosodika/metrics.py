@@ -2,8 +2,8 @@
 MAE/RMSE between aligned SSML documents, the tag census, and corpus-level
 distribution summaries.
 
-All metrics are pure folds over their inputs; corpus aggregation uses plain
-sums so segments can be scored concurrently and merged.
+All metrics are pure folds over their inputs; floats are summed in a fixed
+order, not by sum(), which compensates them from Python 3.12.
 
 Embedding-based similarity between predicted and gold markup is deliberately
 not provided (it needs an external sentence-embedding model); compute it
@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, sub
 
 from .prosody import PairingError
 from .ssml import (
@@ -29,6 +29,10 @@ from .ssml import (
 )
 
 INFINITE_PERPLEXITY = float("inf")
+
+ARR_TAU_MS = 50.0
+ARR_WINDOW_S = 15.0
+HISTOGRAM_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,8 @@ def perplexity(probabilities_of_true_labels: list[float]) -> float:
 def arr(
     pred_starts_ms: list[float],
     gold_starts_ms: list[float],
-    tau_ms: float = 50.0,
-    window_s: float = 15.0,
+    tau_ms: float = ARR_TAU_MS,
+    window_s: float = ARR_WINDOW_S,
 ) -> float:
     """Alignment recall rate: fraction of words whose predicted start is
     within tau of gold, macro-averaged over fixed windows of ``window_s``
@@ -121,7 +125,7 @@ def arr(
     for p, g in zip(pred_starts_ms, gold_starts_ms):
         hits.setdefault(int(g // window_ms), []).append(abs(p - g) <= tau_ms)
     ratios = [sum(h) / len(h) for _, h in sorted(hits.items())]
-    return sum(ratios) / len(ratios)
+    return reduce(add, ratios, 0.0) / len(ratios)
 
 
 @dataclass(frozen=True)
@@ -190,8 +194,7 @@ def document_syntagms(doc: SsmlDocument) -> list[list[SyntagmRecord]]:
 def _pairwise_sum(values: list[float]) -> float:
     """Sum of ``values`` in numpy's pairwise order for float64, so that a mean
     has np.mean's bits: a plain loop below 8 items, 8 strided accumulators up
-    to 128, else halves split at a multiple of 8. Not sum(), which compensates
-    float sums from Python 3.12."""
+    to 128, else halves split at a multiple of 8."""
     n = len(values)
     if n < 8:
         return reduce(add, values, 0.0)
@@ -255,8 +258,8 @@ def attribute_errors(
         if macro:
             stats = [_error_stats([d[i] for d in seg]) for seg in per_segment if seg]
             n = len(stats) or 1  # no syntagm anywhere: 0.0 errors over 0, as micro gives
-            out[key] = ErrorStats(mae=sum(s.mae for s in stats) / n,
-                                  rmse=sum(s.rmse for s in stats) / n,
+            out[key] = ErrorStats(mae=reduce(add, (s.mae for s in stats), 0.0) / n,
+                                  rmse=reduce(add, (s.rmse for s in stats), 0.0) / n,
                                   count=sum(s.count for s in stats))
         else:
             out[key] = _error_stats([d[i] for seg in per_segment for d in seg])
@@ -348,7 +351,7 @@ class MetricsReport:
             payload["arr"] = self.arr_score
         return payload
 
-    def table(self, tau_ms: float = 50.0, window_s: float = 15.0) -> str:
+    def table(self, tau_ms: float = ARR_TAU_MS, window_s: float = ARR_WINDOW_S) -> str:
         unit = {"pitch_pct": "%", "volume_pct": "%", "rate_pct": "%", "break_ms": "ms"}
         lines = [f"{'attribute':<12} {'MAE':>10} {'RMSE':>10}  n"]
         for key, stats in self.attribute_errors.items():
@@ -396,18 +399,19 @@ class DistributionSummary:
         }
 
 
-def summarize(values: list[float], n_bins: int = 20) -> DistributionSummary:
+def summarize(values: list[float]) -> DistributionSummary:
     """Five-number summary plus histogram, with numpy's numbers and no numpy.
 
     The quartiles are ``np.percentile(method="nearest")``: the value at index
     ``round((n - 1) * q)``, ties to even. The median is ``np.median``: the
     middle value, or the mean of the two middle values for even counts,
-    summed from 0.0 as numpy sums (so a -0.0 median reads 0.0). The bins are
-    ``np.histogram``'s over [min, max]: ``linspace`` edges, a ValueError when
-    they are not strictly increasing, and ``edges[i] <= v < edges[i + 1]``
-    with the last bin closed. Where the values hold both signed zeros, numpy
-    picks either zero by its SIMD lanes and selection order; this takes them
-    in input order (a stable sort), so only such a zero's sign may differ."""
+    summed from 0.0 as numpy sums (so a -0.0 median reads 0.0). The
+    HISTOGRAM_BINS bins are ``np.histogram``'s over [min, max]: ``linspace``
+    edges, a ValueError when they are not strictly increasing, and
+    ``edges[i] <= v < edges[i + 1]`` with the last bin closed. Where the
+    values hold both signed zeros, numpy picks either zero by its SIMD lanes
+    and selection order; this takes them in input order (a stable sort), so
+    only such a zero's sign may differ."""
     if not values:
         raise ValueError("cannot summarize an empty distribution")
     s = sorted(map(float, values))
@@ -418,14 +422,14 @@ def summarize(values: list[float], n_bins: int = 20) -> DistributionSummary:
     if lo == hi:
         bins = ((lo, hi, n),)
     else:
-        step = (hi - lo) / n_bins
-        edges = [i * step + lo for i in range(n_bins)] + [hi]
+        step = (hi - lo) / HISTOGRAM_BINS
+        edges = [i * step + lo for i in range(HISTOGRAM_BINS)] + [hi]
         if not all(a < b for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"Too many bins for data range. Cannot create {n_bins} "
+            raise ValueError(f"Too many bins for data range. Cannot create {HISTOGRAM_BINS} "
                              f"finite-sized bins.")
         # values below each edge; the last bin also holds the maximum
         below = [bisect_left(s, e) for e in edges[:-1]] + [n]
-        bins = tuple((edges[i], edges[i + 1], below[i + 1] - below[i]) for i in range(n_bins))
+        bins = tuple(zip(edges, edges[1:], map(sub, below[1:], below)))
     return DistributionSummary(
         minimum=lo,
         q1=s[round((n - 1) * 0.25)],

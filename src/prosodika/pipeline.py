@@ -9,6 +9,7 @@ are byte-identical.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -98,7 +99,8 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
         raise ValueError("'config' must be an object")
     PipelineConfig.from_mapping(overrides)  # a bad key or value is reported against the manifest
     pairs: list[PairSpec] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # name -> pair index
+    stems: dict[str, int] = {}  # normalized output path without suffix -> pair index
     for i, entry in enumerate(data["pairs"]):
         if not isinstance(entry, dict):
             raise ValueError(f"pair {i} is not an object")
@@ -112,12 +114,14 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
         wrong = [k for k, kind in _PAIR_KEY_TYPES.items() if not isinstance(spec[k], kind)]
         if wrong:
             raise ValueError(f"pair {i}: {wrong} must be strings")
-        name = spec["name"]
+        name, output_dir = spec["name"], root / spec["output_dir"]
         if name in seen:  # both pairs would write the same output files
             raise ValueError(f"pairs {seen[name]} and {i} share the name {name!r}")
-        seen[name] = i
-        pairs.append(PairSpec(name=name, output_dir=root / spec["output_dir"],
-                              words_tier=spec["words_tier"],
+        stem = os.path.normpath(output_dir / name)  # b, ./b and x/../b write one b.*
+        if stem in stems:
+            raise ValueError(f"pairs {stems[stem]} and {i} both write {stem}.*")
+        seen[name] = stems[stem] = i
+        pairs.append(PairSpec(name=name, output_dir=output_dir, words_tier=spec["words_tier"],
                               **{k: root / spec[k] for k in _PAIR_FILES}))
     return pairs, overrides
 

@@ -52,9 +52,9 @@ _QUANT_EPS = 0.005 + 1e-9
 
 
 def _escape(text: str) -> str:
-    """Text or a double-quoted attribute value with ``& < > "`` as entities:
-    ``xml.sax.saxutils.escape(text, {'"': "&quot;"})``, whose module would
-    load urllib and email with it."""
+    """Text with ``& < > "`` as entities: ``xml.sax.saxutils.escape(text,
+    {'"': "&quot;"})``, whose module would load urllib and email with it.
+    Attribute values go through _quoteattr."""
     return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
             .replace('"', "&quot;"))
 
@@ -166,9 +166,8 @@ class Violation:
 @dataclass(frozen=True)
 class EmitOptions:
     azure_silence_wrap: bool = False
-    full_document: bool = False
     suppress_neutral: bool = False
-    voice: str = DEFAULT_VOICE
+    voice: str | None = None  # None: a bare fragment; else a speak document in this voice
 
 
 def _quantize(value: float) -> float:
@@ -192,8 +191,6 @@ def build_segment_nodes(
     nodes: list[Node] = []
     for text, delta in syntagms:
         content = _norm_text(text)
-        if not content:
-            raise ValueError("syntagm text must be non-empty")
         pitch = _quantize(delta.pitch_pct)
         rate = _quantize(delta.rate_pct)
         volume = _quantize(delta.volume_pct)
@@ -221,11 +218,8 @@ def emit(syntagms: list[tuple[str, ProsodyDelta]], options: EmitOptions = EmitOp
     Deltas outside the clip ranges of ``cfg`` make this refuse to emit with
     SsmlValidationError.
     """
-    doc = SsmlDocument(
-        segments=(build_segment_nodes(syntagms, options),),
-        lang=DEFAULT_LANG if options.full_document else None,
-        voice=options.voice if options.full_document else None,
-    )
+    lang = None if options.voice is None else DEFAULT_LANG
+    doc = SsmlDocument((build_segment_nodes(syntagms, options),), lang, options.voice)
     violations = validate(doc, cfg)
     if violations:
         raise SsmlValidationError(violations)
@@ -242,10 +236,10 @@ def emit_document(doc: SsmlDocument) -> str:
 def _render_segment(nodes: tuple[Node, ...], lang: str | None, voice: str | None) -> str:
     body = "".join(_render_node(n) for n in nodes)
     if voice is not None:
-        body = f'<voice name="{_escape(voice)}">{body}</voice>'
+        body = f"<voice name={_quoteattr(voice)}>{body}</voice>"
     if lang is None and voice is None:
         return body
-    lang_attr = "" if lang is None else f' xml:lang="{_escape(lang)}"'
+    lang_attr = "" if lang is None else f" xml:lang={_quoteattr(lang)}"
     return (f'<speak version="1.0" xmlns="{SPEAK_XMLNS}" xmlns:mstts="{MSTTS_XMLNS}"'
             f"{lang_attr}>{body}</speak>")
 

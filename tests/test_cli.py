@@ -162,6 +162,20 @@ class TestAnnotate:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
+    @pytest.mark.parametrize("flags,name", [([], '"fr-FR-HenriNeural"'),
+                                            (["--voice", "a\tb"], '"a&#9;b"')])
+    def test_full_document_wraps_each_line(self, runner, tmp_path, flags, name):
+        manifest = build_e2e_corpus(tmp_path, n_syntagms=3)
+        ssml_path = tmp_path / "out" / "pair00.ssml"
+        assert runner.invoke(main, ["annotate", str(manifest)]).exit_code == 0
+        bare = ssml_path.read_text(encoding="utf-8").splitlines()
+        result = runner.invoke(main, ["annotate", str(manifest), "--full-document", *flags])
+        assert result.exit_code == 0, result.output
+        head = ('<speak version="1.0" xmlns="http://www.w3.org/2001/10/synthesis" '
+                'xmlns:mstts="https://www.w3.org/2001/mstts" xml:lang="fr-FR">')
+        assert ssml_path.read_text(encoding="utf-8").splitlines() == [
+            f"{head}<voice name={name}>{line}</voice></speak>" for line in bare]
+
     def test_silent_natural_voice_is_flagged_not_failed(self, runner, tmp_path):
         # the natural WAV lasts as long as its grid, 6.7 s, but falls silent
         # after 0.5 s: every syntagm has no f0 frame and no loudness
@@ -437,6 +451,13 @@ class TestScore:
             main, ["score", str(pred), str(annotated / "out" / "pair00.ssml")]
         )
         assert result.exit_code == 4
+        # one segment each, whose syntagm counts differ
+        pred.write_text(emit([("a", ProsodyDelta(0.0, 0.0, 0.0, 0))]) + "\n", encoding="utf-8")
+        gold = _write(tmp_path / "gold.ssml", emit([("a", ProsodyDelta(0.0, 0.0, 0.0, 0)),
+                                                    ("b", ProsodyDelta(0.0, 0.0, 0.0, 0))]))
+        result = runner.invoke(main, ["score", str(pred), gold])
+        assert result.exit_code == 4
+        assert result.stderr == "error: segment 0: syntagm counts differ: 1 vs 2\n"
 
     def test_break_prediction_scoring(self, runner, annotated, tmp_path):
         ssml_path = annotated / "out" / "pair00.ssml"
@@ -759,6 +780,15 @@ def _validate_missing_config(root):
     return ["validate-ssml", _ssml_doc(root), "--config", missing], missing
 
 
+def _validate_config_without_equals(root):
+    config = _write(root / "c.cfg", "# a comment\nvolume_clip_pct 10\n")
+    return ["validate-ssml", _ssml_doc(root), "--config", config], config
+
+
+def _no_files(command):
+    return lambda root: ([command], "no SSML files given")
+
+
 def _manifest(pairs, corpus=False):
     def build(root):
         entries = pairs
@@ -884,6 +914,8 @@ def _segment_option(option, value):
 # exit code)
 CONTRACT_ROWS = [
     ("breaks-without-word-count", _score_side("breaks", '{"positions": [1]}'), 3),
+    ("breaks-positions-not-a-list", _score_side("breaks", '{"word_count": 2, "positions": 1}'),
+     3),
     ("breaks-invalid-json", _score_side("breaks", '{"word_count": 2,'), 3),
     ("breaks-position-past-end", _score_side("breaks", '{"word_count": 2, "positions": [2]}'), 3),
     ("breaks-probability-count", _score_side(
@@ -896,12 +928,21 @@ CONTRACT_ROWS = [
     ("stats-break-string", _stats('{"pitch_pct": 0, "rate_pct": 0, "volume_pct": 0, '
                                   '"break_ms": "zz"}'), 3),
     ("stats-bare-number", _stats("5"), 3),
+    ("stats-missing-break", _stats('{"pitch_pct": 0, "rate_pct": 0, "volume_pct": 0}'), 3),
+    ("census-no-files", _no_files("census"), 5),
+    ("validate-no-files", _no_files("validate-ssml"), 5),
     ("census-not-utf8", _not_utf8("census"), 3),
     ("score-not-utf8", _not_utf8("score"), 3),
     ("validate-not-utf8", _not_utf8("validate-ssml"), 3),
     ("validate-missing-config", _validate_missing_config, 2),
+    ("validate-config-without-equals", _validate_config_without_equals, 3),
     ("annotate-pair-not-object", _manifest([5]), 3),
     ("annotate-duplicate-names", _manifest([{"name": "p"}, {"name": "p"}], corpus=True), 3),
+    ("annotate-names-one-path", _manifest([{"name": "b"}, {"name": "./b"}], corpus=True), 3),
+    ("annotate-names-one-path-via-parent",
+     _manifest([{"name": "b"}, {"name": "x/../b"}], corpus=True), 3),
+    ("annotate-dirs-one-path",
+     _manifest([{"name": "x/b"}, {"name": "b", "output_dir": "out/x"}], corpus=True), 3),
     ("annotate-missing-manifest", _missing_manifest, 2),
     ("annotate-path-not-string", _manifest([{"natural_wav": 5}], corpus=True), 3),
     ("annotate-config-value-null", _manifest_config({"volume_clip_pct": None}), 3),

@@ -10,6 +10,7 @@ from prosodika.metrics import (
     BreakPrediction,
     DistributionSummary,
     MetricsReport,
+    HISTOGRAM_BINS,
     PairingError,
     _error_stats,
     arr,
@@ -111,6 +112,12 @@ class TestArr:
         pred = [0.0, 1.0, 16000.0, 17000.0]
         gold = [0.0, 1.0, 16200.0, 17300.0]
         assert arr(pred, gold) == 0.5
+        # ten windows of ten words, one hit each, add left to right: sum(),
+        # which compensates from Python 3.12, gives 0.1
+        gold = [w * 15000.0 + i * 100.0 for w in range(10) for i in range(10)]
+        pred = [g if g % 15000.0 == 0.0 else g + 60.0 for g in gold]
+        assert arr(pred, gold) == 0.09999999999999999
+        assert math.fsum([0.1] * 10) / 10 == 0.1
 
     def test_empty_windows_skipped(self):
         # words only in windows 0 and 4
@@ -210,6 +217,13 @@ class TestAttributeErrors:
         macro = attribute_errors(pred, gold, macro=True)["pitch_pct"].mae
         assert micro == pytest.approx((1.0 + 0.3 + 0.3) / 3)
         assert macro == pytest.approx((1.0 + 0.3) / 2)
+        # ten one-syntagm segments with a 0.10 % pitch gap add left to right:
+        # sum(), which compensates from Python 3.12, gives 0.1
+        pred = parse_corpus("\n".join(emit([(f"w{i}", delta(pitch=0.1))]) for i in range(10)))
+        gold = parse_corpus("\n".join(emit([(f"w{i}", delta())]) for i in range(10)))
+        errors = attribute_errors(pred, gold, macro=True)["pitch_pct"]
+        assert errors.mae == errors.rmse == 0.09999999999999999
+        assert math.fsum([0.1] * 10) / 10 == 0.1
 
     def test_missing_break_scored_as_zero(self):
         pred = parse('<prosody pitch="+0.00%" rate="+0.00%" volume="+0.00%">a</prosody>')
@@ -322,8 +336,8 @@ class TestCorpusStats:
         assert summary.bins == ((2.0, 2.0, 3),)
 
     def test_histogram_counts_sum(self):
-        summary = summarize([float(i) for i in range(100)], n_bins=10)
-        assert sum(c for _, _, c in summary.bins) == 100
+        summary = summarize([float(i) for i in range(100)])
+        assert [c for _, _, c in summary.bins] == [5] * HISTOGRAM_BINS
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -484,6 +498,12 @@ class TestDocumentSyntagms:
         doc = doc_of([("a", delta(1.0, 0.0, 0.0, 123))], azure_silence_wrap=True)
         (records,) = document_syntagms(doc)
         assert records[0].break_ms == 123
+
+    def test_text_split_by_a_child_element(self):
+        doc = parse('<prosody pitch="+1.00%">un <emphasis>deux <b/>trois</emphasis>'
+                    ' quatre</prosody>')
+        (records,) = document_syntagms(doc)
+        assert records[0].text == "un deux trois quatre"
 
     def test_bare_text_not_scored(self):
         doc = parse("intro<prosody pitch='+1.00%'>mot</prosody>".replace("'", '"'))

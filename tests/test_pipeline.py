@@ -176,6 +176,9 @@ class TestTierSelection:
             TextGridTier("words", 0, 1, (TextGridInterval(0, 1, "bon"),)),
         ]
         assert pick_words_tier(tiers, None).name == "words"
+        # no tier with a words name: the first tier
+        others = [tiers[0], TextGridTier("syllables", 0, 1, (TextGridInterval(0, 1, "bon"),))]
+        assert pick_words_tier(others, None) is tiers[0]
 
     def test_explicit_name(self):
         tiers = [TextGridTier("custom", 0, 1, (TextGridInterval(0, 1, "x"),))]

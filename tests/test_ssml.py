@@ -58,11 +58,16 @@ class TestEmit:
         )
 
     def test_full_document_envelope(self):
-        out = emit([("salut", delta(1.0, 0.0, 0.0, 100))], EmitOptions(full_document=True))
+        out = emit([("salut", delta(1.0, 0.0, 0.0, 100))],
+                   EmitOptions(voice=ssml.DEFAULT_VOICE))
         assert out.startswith('<speak version="1.0" xmlns="http://www.w3.org/2001/10/synthesis"')
         assert 'xml:lang="fr-FR"' in out
         assert '<voice name="fr-FR-HenriNeural">' in out
         assert out.endswith("</voice></speak>")
+        # a voice is an attribute value like any other, and stays on its line
+        out = emit([("salut", delta())], EmitOptions(voice='a\nb\r"c\td'))
+        assert "<voice name='a&#10;b&#13;\"c&#9;d'>" in out
+        assert parse_corpus(out).voice == 'a\nb\r"c\td'
 
     def test_escaping(self):
         out = emit([('a & b < c > "d"', delta(break_ms=50))])
@@ -233,7 +238,7 @@ class TestParse:
         )
 
     def test_envelope_unwrapped(self):
-        s = emit([("mot", delta(break_ms=10))], EmitOptions(full_document=True))
+        s = emit([("mot", delta(break_ms=10))], EmitOptions(voice="fr-FR-HenriNeural"))
         doc = parse(s)
         assert doc.lang == "fr-FR"
         assert doc.voice == "fr-FR-HenriNeural"
@@ -269,8 +274,11 @@ class TestParseCorpus:
     def test_emit_document_round_trip(self):
         for corpus in (
             emit([("un", delta(break_ms=100))]) + "\n" + emit([("deux", delta())]),
-            # the envelope's attributes are escaped like text
+            # the envelope's attributes are quoted like any other attribute
             "<speak xml:lang='fr\"x'><voice name='a\"b'>mot</voice></speak>",
+            '<speak xml:lang="fr&#9;x"><voice name="a&#10;b&#13;c">mot</voice></speak>',
+            # opaque elements, with and without children
+            '<p><emphasis level="strong">mot</emphasis><audio src="x.wav"/></p>',
             # only the attributes the document has are written back
             '<speak xml:lang="fr">mot</speak>',
             '<voice name="x">mot</voice>',

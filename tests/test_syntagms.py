@@ -47,6 +47,10 @@ class TestTokensFromTier:
     def test_no_empty_intervals(self):
         toks = tokens_from_tier(tier([(0, 0.2, "a"), (0.2, 0.4, "b")]))
         assert all(t.kind == WORD for t in toks)
+        # intervals that round to zero length: a word widens to 1 ms, a pause goes
+        toks = tokens_from_tier(tier([(0, 0.2, "a"), (0.2, 0.2002, "b"), (0.2002, 0.2004, ""),
+                                      (0.2004, 0.4, "c")]))
+        assert toks == [word("a", 0, 200), word("b", 200, 201), word("c", 200, 400)]
 
 
 class TestLexicon:
