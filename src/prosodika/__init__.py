@@ -18,7 +18,7 @@ _EXPORTS = {
     "audio": ("AudioBuffer", "AudioError", "SegmentBounds", "UnreadableFileError",
               "UnsupportedFormatError", "UnsupportedRateError", "detect_speech_segments",
               "load_wav", "peak_normalize", "resample_to_16k"),
-    "loudness": ("SILENCE", "SegmentTooShortError", "integrated_loudness"),
+    "loudness": ("integrated_loudness",),
     "metrics": ("BreakPrediction", "ErrorStats", "MetricsReport", "TagCensus", "arr",
                 "attribute_errors", "break_f1", "perplexity", "tag_census"),
     "pitch": ("F0Track", "estimate_f0_track", "median_f0"),

@@ -46,7 +46,9 @@ RMS_HOP_MS = 10
 
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Mono sampled signal. Samples are float64 in [-1, +1]."""
+    """Mono sampled signal. Samples are finite float64, nominally in [-1, +1]:
+    resampling may overshoot (a full-scale 440 Hz square wave at 44.1 kHz
+    peaks at 1.18 after resample_to_16k)."""
 
     samples: np.ndarray
     sample_rate: int
@@ -250,7 +252,8 @@ _RUN_CHUNK = 1 << 16
 
 def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     """Mean squared sample over each whole ``win``-sample window, one window
-    every ``hop`` samples."""
+    every ``hop`` samples. ValueError if a windowed sample is not finite or
+    the sum of their squares overflows."""
     n_windows = (len(samples) - win) // hop + 1
     if n_windows <= 0:
         return np.empty(0)
@@ -268,8 +271,9 @@ def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
         x = samples[a : a + _RUN_CHUNK]
         run = block[: len(x) + 1]  # run[j] is the running sum at index a + j
         run[0] = total
-        np.multiply(x, x, out=run[1:])
-        np.cumsum(run, out=run)
+        with np.errstate(over="ignore", invalid="ignore"):  # the total is checked below
+            np.multiply(x, x, out=run[1:])
+            np.cumsum(run, out=run)
         for edge, offset in ((at_start, 0), (at_end, win)):
             # the windows whose edge k * hop + offset lies in [a, a + len(x)]
             k0 = max(0, -((offset - a) // hop))
@@ -278,6 +282,9 @@ def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
                 j = k0 * hop + offset - a
                 edge[k0:k1] = run[j : j + (k1 - k0 - 1) * hop + 1 : hop]
         total = run[-1]
+    # the sum never decreases, so an inf or NaN anywhere leaves the total one
+    if not np.isfinite(total):
+        raise ValueError("samples must be finite, with squares that sum below the float range")
     return (at_end - at_start) / win
 
 

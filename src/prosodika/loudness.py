@@ -22,8 +22,6 @@ import numpy as np
 
 from .audio import AudioBuffer, SegmentBounds, window_power
 
-SILENCE = float("-inf")
-
 ABSOLUTE_GATE_LUFS = -70.0
 RELATIVE_GATE_LU = 10.0
 BLOCK_S = 0.400
@@ -31,10 +29,6 @@ BLOCK_HOP_S = 0.100
 _OFFSET = -0.691
 _CAL_HZ = 997.0
 _SHELF_HZ = 1681.9744509555319
-
-
-class SegmentTooShortError(ValueError):
-    """Segment shorter than one 400 ms gating block."""
 
 
 def _shelf_and_highpass(sample_rate: int) -> np.ndarray:
@@ -87,30 +81,28 @@ def k_weighting_sos(sample_rate: int) -> np.ndarray:
     return sos
 
 
-def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -> float:
+def integrated_loudness(buf: AudioBuffer, bounds: SegmentBounds | None = None) -> float | None:
     """Gated integrated loudness of a segment, in LUFS.
 
-    Returns the SILENCE sentinel (-inf) when every gating block falls below
-    the absolute gate. Raises SegmentTooShortError below one gating block,
-    and ValueError at sample rates of 3363 Hz and below, where the
-    K-weighting cascade is unstable.
+    None when it is not measured: the segment is shorter than one gating
+    block, or every block falls below the absolute gate. Raises ValueError
+    at sample rates of 3363 Hz and below, where the K-weighting cascade is
+    unstable, whatever the segment's length.
     """
+    sos = k_weighting_sos(buf.sample_rate)
     samples = buf.samples if bounds is None else buf.slice_ms(bounds.start_ms, bounds.end_ms)
     block = int(round(BLOCK_S * buf.sample_rate))
     hop = int(round(BLOCK_HOP_S * buf.sample_rate))
     if len(samples) < block:
-        raise SegmentTooShortError(
-            f"segment of {len(samples)} samples is shorter than one "
-            f"{BLOCK_S * 1000:.0f} ms gating block"
-        )
+        return None
     from scipy.signal import sosfilt  # slow to import; only annotate needs it
 
-    power = window_power(sosfilt(k_weighting_sos(buf.sample_rate), samples), block, hop)
+    power = window_power(sosfilt(sos, samples), block, hop)
     with np.errstate(divide="ignore"):
         level = _OFFSET + 10.0 * np.log10(power)
     survivors = power[level > ABSOLUTE_GATE_LUFS]
     if survivors.size == 0:
-        return SILENCE
+        return None
     # never empty: the loudest survivor is at least their mean, above this gate
     relative_gate = _OFFSET + 10.0 * np.log10(np.mean(survivors)) - RELATIVE_GATE_LU
     kept = power[(level > ABSOLUTE_GATE_LUFS) & (level > relative_gate)]

@@ -25,7 +25,7 @@ from .audio import (
     peak_normalize,  # not called here: perfbench/spans.py traces it by this name
     resample_to_16k,
 )
-from .loudness import SILENCE, SegmentTooShortError, integrated_loudness
+from .loudness import integrated_loudness
 from .pitch import F0Track, estimate_f0_track, median_f0
 from .prosody import (
     PipelineConfig,
@@ -94,6 +94,9 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
     data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise ValueError("manifest must be an object with a 'pairs' list")
+    unknown = [k for k in data if k not in ("pairs", "output_dir", "config")]
+    if unknown:
+        raise ValueError(f"unknown manifest keys {unknown}")
     overrides = data.get("config", {})
     if not isinstance(overrides, dict):
         raise ValueError("'config' must be an object")
@@ -104,6 +107,9 @@ def _parse_manifest(text: str, root: Path) -> tuple[list[PairSpec], dict]:
     for i, entry in enumerate(data["pairs"]):
         if not isinstance(entry, dict):
             raise ValueError(f"pair {i} is not an object")
+        unknown = [k for k in entry if k not in _PAIR_KEY_TYPES]
+        if unknown:
+            raise ValueError(f"pair {i} has unknown keys {unknown}")
         missing = [k for k in _PAIR_FILES if k not in entry]
         if missing:
             raise ValueError(f"pair {i} missing {missing}")
@@ -187,17 +193,8 @@ def measure_features(
     buf: AudioBuffer, track: F0Track, syntagms: list[Syntagm]
 ) -> list[SyntagmFeatures]:
     """Per-syntagm f0 median and loudness for one voice."""
-    out = []
-    for s in syntagms:
-        bounds = SegmentBounds(s.start_ms, s.end_ms)
-        try:
-            lufs = integrated_loudness(buf, bounds)
-        except SegmentTooShortError:
-            lufs = None
-        if lufs == SILENCE:
-            lufs = None
-        out.append(SyntagmFeatures(median_f0_hz=median_f0(track, bounds), loudness_lufs=lufs))
-    return out
+    return [SyntagmFeatures(median_f0(track, b), integrated_loudness(buf, b))
+            for b in (SegmentBounds(s.start_ms, s.end_ms) for s in syntagms)]
 
 
 def analyze_voice(

@@ -65,6 +65,9 @@ class PipelineConfig:
             raise ValueError("max_jump_pct must be > 0")
         if self.baseline_window < 1:
             raise ValueError("baseline_window must be >= 1")
+        for key in ("slowdown_gain", "speedup_gain", "long_syntagm_s"):
+            if getattr(self, key) < 0:  # a negative gain turns a slow-down into a speed-up
+                raise ValueError(f"{key} must be >= 0")
 
     def clip_ranges(self) -> dict[str, tuple[float, float]]:
         """The (low, high) clip range of each emitted delta: pitch [-0.7*P, P]
@@ -112,21 +115,19 @@ class ProsodyDelta:
     flags: tuple[str, ...] = ()
 
 
-def rolling_baseline(values: list[float | None], w: int) -> list[float]:
+def rolling_baseline(values: list[float | None], w: int) -> list[float | None]:
     """Median over a sliding window of up to w values centered at each index.
 
     Windows are clamped into the list at the edges, so every window holds w
     entries when the list is long enough; with w covering the whole list the
     baseline is the global median everywhere. None entries are skipped; a
-    window with no present values falls back to the global median. Raises if
-    every value is absent.
+    window with no present values falls back to the global median. Every
+    entry is None when no value is present.
     """
-    if not values:
-        raise ValueError("cannot compute a baseline of an empty series")
     present = sorted(v for v in values if v is not None)
-    if not present:
-        raise ValueError("cannot compute a baseline: all values absent")
     n = len(values)
+    if not present:
+        return [None] * n
     global_median = _median(present)
     if n <= w:
         return [global_median] * n
@@ -192,11 +193,9 @@ def smooth_series(values: list[float], cfg: PipelineConfig) -> list[float]:
 
     x~[0] = x[0]; x~[i] = alpha*x[i] + (1-alpha)*x~[i-1], then any step larger
     than ``max_jump_pct`` is clamped to the previous value +- the jump, and the
-    clamped value feeds the next step.
+    clamped value feeds the next step. An empty series smooths to [].
     """
-    if not values:
-        raise ValueError("cannot smooth an empty series")
-    out = [float(values[0])]
+    out = [float(x) for x in values[:1]]
     alpha, jump = cfg.smoothing_alpha, cfg.max_jump_pct
     for x in values[1:]:
         smoothed = alpha * x + (1.0 - alpha) * out[-1]
@@ -215,10 +214,11 @@ def annotate_corpus(
     """Compute the per-syntagm delta list for paired natural/synthetic tracks.
 
     The two streams must be the same transcript: equal length and matching
-    word sequences (case-insensitive). Missing features (unvoiced pitch,
-    silent loudness) yield a delta of 0 and a flag, not an error, so one
-    bad syntagm cannot abort a run. Only measured pitches are smoothed, so a
-    flagged syntagm leaves its neighbours' pitch as if it were absent.
+    word sequences (case-insensitive). A feature that is not measured (None:
+    unvoiced pitch, or loudness of a silent or too short span) yields a delta
+    of 0 and a flag, not an error, so one bad syntagm cannot abort a run.
+    Only measured pitches are smoothed, so a flagged syntagm leaves its
+    neighbours' pitch as if it were absent.
     """
     if len(nat) != len(syn):
         raise PairingError(
@@ -232,15 +232,13 @@ def annotate_corpus(
                 f"word sequences diverge at syntagm {i}: "
                 f"{s_nat.text!r} vs {s_syn.text!r}"
             )
-    if not nat:
-        return []
 
     pitch_raw: list[float] = []  # measured pitches only
     rate_raw: list[float] = []
     volumes: list[float] = []
     flag_sets: list[tuple[str, ...]] = []
-    f0_baseline = _baseline([feats.median_f0_hz for _, feats in syn], cfg)
-    loud_baseline = _baseline([feats.loudness_lufs for _, feats in nat], cfg)
+    f0_baseline = rolling_baseline([f.median_f0_hz for _, f in syn], cfg.baseline_window)
+    loud_baseline = rolling_baseline([f.loudness_lufs for _, f in nat], cfg.baseline_window)
     for (s_nat, feats_nat), (s_syn, feats_syn), f0_base, loud_base in zip(
         nat, syn, f0_baseline, loud_baseline
     ):
@@ -258,7 +256,7 @@ def annotate_corpus(
             (FLAG_INJECTED_BREAK, s_nat.pause_injected),
         ) if raised))
 
-    smoothed = iter(smooth_series(pitch_raw, cfg) if pitch_raw else ())
+    smoothed = iter(smooth_series(pitch_raw, cfg))
     pitches = [0.0 if FLAG_NO_PITCH in flags else next(smoothed) for flags in flag_sets]
     return [
         ProsodyDelta(pitch, rate, volume, s_nat.trailing_pause_ms, flags)
@@ -266,13 +264,6 @@ def annotate_corpus(
             pitches, smooth_series(rate_raw, cfg), volumes, nat, flag_sets
         )
     ]
-
-
-def _baseline(values: list[float | None], cfg: PipelineConfig) -> list[float | None]:
-    """rolling_baseline of ``values``, or all None when no value is present."""
-    if all(v is None for v in values):
-        return [None] * len(values)
-    return rolling_baseline(values, cfg.baseline_window)
 
 
 def delta_record(text: str, delta: ProsodyDelta, **extra) -> dict:

@@ -320,11 +320,26 @@ class TestWindowPower:
         assert segments == [SegmentBounds(0, 10 * ((n - 400) // 160) + 25)]
         assert peak <= buf.samples.nbytes / 4
 
+    @pytest.mark.parametrize("value", [1e200, np.nan, np.inf])
+    def test_samples_past_the_float_range_raise(self, value):
+        x = np.full(16000, 0.5)
+        x[12345] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            window_power(x, 400, 160)
+        x[12345] = 1e150  # its square still fits, and so does the sum
+        assert np.isfinite(window_power(x, 400, 160)).all()
+
 
 class TestDetectSpeechSegments:
     def test_silence_gives_nothing(self):
         buf = AudioBuffer(np.zeros(16000), 16000)
         assert detect_speech_segments(buf) == []
+
+    @pytest.mark.parametrize("value", [1e200, np.nan])
+    def test_samples_past_the_float_range_raise(self, value):
+        buf = AudioBuffer(np.full(16000, value), 16000)
+        with pytest.raises(ValueError, match="must be finite"):
+            detect_speech_segments(buf)
 
     def test_two_tones_split_by_long_gap(self):
         quiet = tone(440, 0.5, 16000, amplitude=10 ** (-80 / 20))

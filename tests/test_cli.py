@@ -810,6 +810,28 @@ def _manifest_config(config, named=None):
     return build
 
 
+def _config_file(text, named):
+    """annotate with a config file holding ``text``; the error names ``named``."""
+    def build(root):
+        config = _write(root / "c.cfg", text)
+        return ["annotate", str(build_e2e_corpus(root, n_syntagms=2)), "--config", config], named
+    return build
+
+
+def _manifest_unknown_key(key, in_pair):
+    """annotate a two-pair manifest that holds ``key`` at its top level or in
+    its second pair; a typo such as 'word_tier' or 'confg' would otherwise run
+    the default tier or config."""
+    def build(root):
+        data = json.loads(build_e2e_corpus(root, n_syntagms=2).read_text())
+        data["pairs"].append(dict(data["pairs"][0], name="second"))
+        (data["pairs"][1] if in_pair else data)[key] = "words"
+        named = (f"pair 1 has unknown keys ['{key}']" if in_pair
+                 else f"unknown manifest keys ['{key}']")
+        return ["annotate", _write(root / "job.json", json.dumps(data))], named
+    return build
+
+
 def _voice_alone(root):
     return ["annotate", str(build_e2e_corpus(root, n_syntagms=2)), "--voice", "x"], \
         "--full-document"
@@ -951,6 +973,20 @@ CONTRACT_ROWS = [
                                                          "baseline_window"), 3),
     ("annotate-config-value-bool", _manifest_config({"smoothing_alpha": True},
                                                     "smoothing_alpha"), 3),
+    ("annotate-config-negative-slowdown-gain", _manifest_config({"slowdown_gain": -1},
+                                                               "slowdown_gain"), 3),
+    ("annotate-config-negative-speedup-gain", _manifest_config({"speedup_gain": -0.5},
+                                                              "speedup_gain"), 3),
+    ("annotate-config-negative-long-syntagm", _manifest_config({"long_syntagm_s": -1e-9},
+                                                              "long_syntagm_s"), 3),
+    ("annotate-config-file-negative-slowdown-gain",
+     _config_file("slowdown_gain = -1\n", "slowdown_gain"), 3),
+    ("annotate-config-file-negative-speedup-gain",
+     _config_file("speedup_gain = -0.5\n", "speedup_gain"), 3),
+    ("annotate-config-file-negative-long-syntagm",
+     _config_file("long_syntagm_s = -1\n", "long_syntagm_s"), 3),
+    ("annotate-manifest-unknown-key", _manifest_unknown_key("confg", in_pair=False), 3),
+    ("annotate-pair-unknown-key", _manifest_unknown_key("word_tier", in_pair=True), 3),
     ("annotate-voice-without-full-document", _voice_alone, 2),
     ("annotate-grid-bad-utf8-after-bom", _bad_grid(b"\xef\xbb\xbf" + long_textgrid(
         [(0.0, 1.0, "caf\xe9")]).encode("latin-1")), 3),
@@ -1037,7 +1073,6 @@ ERROR_CODES = {
     "UnreadableFileError": cli.EXIT_IO,
     "UnsupportedFormatError": cli.EXIT_FORMAT,
     "UnsupportedRateError": cli.EXIT_FORMAT,
-    "SegmentTooShortError": cli.EXIT_FORMAT,
     "ManifestError": cli.EXIT_FORMAT,
     "PairingError": cli.EXIT_PAIRING,
     "SsmlParseError": cli.EXIT_FORMAT,

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from prosodika.audio import AudioBuffer, SegmentBounds
-from prosodika.loudness import (
-    SILENCE,
-    SegmentTooShortError,
-    integrated_loudness,
-    k_weighting_sos,
-)
+from prosodika.loudness import integrated_loudness, k_weighting_sos
 
 from conftest import tone
 
@@ -27,13 +22,33 @@ class TestIntegratedLoudness:
         buf = AudioBuffer(tone(997, 5.0, 16000, amplitude=10 ** (-20 / 20)), 16000)
         assert integrated_loudness(buf) == pytest.approx(ref - 20.0, abs=0.05)
 
-    def test_silence_sentinel(self):
+    def test_silence_sentinel(self):  # not measured: None
         buf = AudioBuffer(np.zeros(16000), 16000)
-        assert integrated_loudness(buf) == SILENCE
+        assert integrated_loudness(buf) is None
 
-    def test_too_short(self):
-        buf = AudioBuffer(np.zeros(3200), 16000)  # 200 ms
-        with pytest.raises(SegmentTooShortError):
+    def test_too_short(self):  # not measured: None
+        buf = AudioBuffer(np.full(3200, 0.5), 16000)  # 200 ms
+        assert integrated_loudness(buf) is None
+        assert integrated_loudness(AudioBuffer(np.full(16000, 0.5), 16000),
+                                   SegmentBounds(0, 399)) is None
+
+    def test_one_block_is_measured(self):
+        buf = AudioBuffer(tone(997, 0.4, 16000, amplitude=0.5), 16000)
+        assert integrated_loudness(buf) == pytest.approx(-0.691 + 10 * np.log10(0.125),
+                                                         abs=0.01)
+
+    @pytest.mark.parametrize("rate", [3000, 3363])
+    def test_short_segment_at_a_refused_rate_still_raises(self, rate):
+        # the rate is checked before the length: an unstable cascade is an
+        # error, not a segment that is merely not measured
+        buf = AudioBuffer(np.full(rate // 5, 0.5), rate)  # 200 ms
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz"):
+            integrated_loudness(buf)
+
+    @pytest.mark.parametrize("value", [1e200, np.nan, np.inf])
+    def test_samples_past_the_float_range_raise(self, value):
+        buf = AudioBuffer(np.full(16000, value), 16000)
+        with pytest.raises(ValueError, match="must be finite"):
             integrated_loudness(buf)
 
     @pytest.mark.parametrize("gain", [0.1, 0.25, 0.5, 1.0])

@@ -8,13 +8,14 @@ into one sha256, pinned below, so every Python the suite runs under must
 write the bytes that Python 3.11 writes. The module needs only the standard
 library and prosodika: run in an empty directory,
 ``PYTHONPATH=<repo>/src python <repo>/tests/test_report_digest.py`` prints
-the digest.
+the digest and exits 1 when it differs from the pinned one.
 """
 
 import hashlib
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -126,4 +127,6 @@ def test_text_command_outputs_match_pinned_digest(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    print(report_digest())
+    digest = report_digest()
+    print(digest)
+    sys.exit(0 if digest == REPORT_DIGEST else 1)
