@@ -156,39 +156,32 @@ def _node_text(nodes: tuple) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _syntagm_record(node: ProsodyElement, break_ms: int | None) -> SyntagmRecord:
-    children = node.children
-    # the common case, a lone run of text, skips the walk
-    alone = len(children) == 1 and type(children[0]) is TextNode
-    return SyntagmRecord(
-        text=" ".join((children[0].content if alone else _node_text(children)).split()),
-        pitch_pct=node.pitch_pct or 0.0,
-        rate_pct=node.rate_pct or 0.0,
-        volume_pct=node.volume_pct or 0.0,
-        break_ms=break_ms,
-    )
+def _syntagm_rows(doc: SsmlDocument) -> list[list[tuple]]:
+    """Per segment, one ``(text, pitch, rate, volume, break)`` tuple per
+    prosody element, in SyntagmRecord's field order (see document_syntagms)."""
+    out = []
+    for seg in doc.segments:
+        rows: list[tuple] = []
+        for node in seg:
+            kind = type(node)  # node classes are never subclassed
+            if kind is ProsodyElement:
+                children = node.children
+                # the common case, a lone run of text, skips the walk
+                alone = len(children) == 1 and type(children[0]) is TextNode
+                text = children[0].content if alone else _node_text(children)
+                rows.append((" ".join(text.split()), node.pitch_pct or 0.0,
+                             node.rate_pct or 0.0, node.volume_pct or 0.0, None))
+            elif kind is BreakElement and rows and rows[-1][4] is None:
+                rows[-1] = (*rows[-1][:4], node.time_ms)  # the first break after it
+        out.append(rows)
+    return out
 
 
 def document_syntagms(doc: SsmlDocument) -> list[list[SyntagmRecord]]:
     """Per-segment syntagm records: prosody elements in order, each with the
     first break between it and the next prosody element (silence directives
     and bare text skipped). Missing prosody attributes read as 0 (neutral)."""
-    out = []
-    for seg in doc.segments:
-        records: list[SyntagmRecord] = []
-        held = None  # the last prosody element, recorded once its break is known
-        break_ms = None
-        for node in seg:
-            if isinstance(node, ProsodyElement):
-                if held is not None:
-                    records.append(_syntagm_record(held, break_ms))
-                held, break_ms = node, None
-            elif isinstance(node, BreakElement) and held is not None and break_ms is None:
-                break_ms = node.time_ms
-        if held is not None:
-            records.append(_syntagm_record(held, break_ms))
-        out.append(records)
-    return out
+    return [[SyntagmRecord(*row) for row in rows] for rows in _syntagm_rows(doc)]
 
 
 def _pairwise_sum(values: list[float]) -> float:
@@ -229,8 +222,8 @@ def attribute_errors(
     Breaks missing on one side are scored as 0 ms. With ``macro`` the errors
     are averaged per segment first, then across segments.
     """
-    pred_segs = document_syntagms(pred)
-    gold_segs = document_syntagms(gold)
+    pred_segs = _syntagm_rows(pred)
+    gold_segs = _syntagm_rows(gold)
     if len(pred_segs) != len(gold_segs):
         raise PairingError(
             f"segment counts differ: {len(pred_segs)} vs {len(gold_segs)}"
@@ -243,14 +236,14 @@ def attribute_errors(
                 f"segment {si}: syntagm counts differ: {len(ps)} vs {len(gs)}"
             )
         diffs = []
-        for qi, (p, g) in enumerate(zip(ps, gs)):
-            if p.text != g.text:
+        for qi, ((p_text, p_pitch, p_rate, p_volume, p_break),
+                 (g_text, g_pitch, g_rate, g_volume, g_break)) in enumerate(zip(ps, gs)):
+            if p_text != g_text:
                 raise PairingError(
-                    f"segment {si}, syntagm {qi}: text diverges: {p.text!r} vs {g.text!r}"
+                    f"segment {si}, syntagm {qi}: text diverges: {p_text!r} vs {g_text!r}"
                 )
-            diffs.append((p.pitch_pct - g.pitch_pct, p.volume_pct - g.volume_pct,
-                          p.rate_pct - g.rate_pct,
-                          float((p.break_ms or 0) - (g.break_ms or 0))))
+            diffs.append((p_pitch - g_pitch, p_volume - g_volume, p_rate - g_rate,
+                          float((p_break or 0) - (g_break or 0))))
         per_segment.append(diffs)
 
     out: dict[str, ErrorStats] = {}

@@ -68,6 +68,13 @@ class PipelineConfig:
         for key in ("slowdown_gain", "speedup_gain", "long_syntagm_s"):
             if getattr(self, key) < 0:  # a negative gain turns a slow-down into a speed-up
                 raise ValueError(f"{key} must be >= 0")
+        try:
+            finite = all(map(math.isfinite, self.pitch_bounds_pct()))
+        except OverflowError:  # 2 ** (P / 12) past the largest float
+            finite = False
+        if not finite:
+            raise ValueError("pitch_clip_semitones must give finite pitch bounds "
+                             "(at most about 12208)")
 
     def clip_ranges(self) -> dict[str, tuple[float, float]]:
         """The (low, high) clip range of each emitted delta: pitch [-0.7*P, P]

@@ -8,13 +8,16 @@ nodes so third-party SSML can still be scored. speak/voice envelopes are
 unwrapped transparently; their language and voice attributes are kept on the
 document, and they alone decide the envelope that emit_document writes.
 
-Parsing reads each line with expat inside a __root__ wrapper element and
-builds the subset's nodes through a tag table; other elements stay opaque,
+Parsing reads each line with expat inside a __root__ wrapper element, and one
+end handler builds the subset's nodes by tag; other elements stay opaque,
 attributes in document order. Comments, CDATA sections and entity references
 join the text around them; each run of text is one whitespace-normalized node.
-Each parse or parse_corpus call makes one line reader, whose handlers and tag
-table serve all its lines. The reader remembers the value of each percentage
-and time it has parsed, for that call only; an error is never remembered.
+parse_corpus reads all the lines of a corpus on one expat parser, each wrapped
+line a child of one outer element. A line that does not read cleanly there is
+read again alone, on a parser of its own as parse reads its text, so its error
+(message, offset and line) is unchanged. Each parse or parse_corpus call
+remembers each percentage's value and each break and silence node it has
+parsed, for that call only; an error is never remembered.
 
 Serialization is single-line and deterministic: percent attributes are signed
 with two decimals, break times are integer milliseconds, text whitespace is
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from xml.parsers import expat
 
@@ -307,75 +311,67 @@ def _parse_ms(what: str, raw: str, unit_required: bool) -> int:
 
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>\s*")
 _ROOT_TAG = "<__root__>"  # wraps each line so that a fragment is one XML element
-_PCT_ATTRS = ("pitch", "rate", "volume")
+_ROOT_END = "</__root__>"
+_CORPUS_TAG = b"<__corpus__>"  # holds a corpus's wrapped lines on one parser
 # envelopes: tag -> the attribute the document keeps; their children join the
 # parent's, and the outermost envelope that has the attribute sets it
 _ENVELOPES = {"__root__": None, "speak": "xml:lang", "voice": "name"}
+_Line = tuple[tuple[Node, ...], str | None, str | None]  # a line's nodes, language and voice
 
 
-def _line_reader():
-    """A reader for the lines of one parse or parse_corpus call: ``read(line)``
-    gives the line's nodes, language and voice. Its expat handlers and tag
-    table are made once and serve every line; each line gets its own expat
-    parser. It remembers each number it parsed, keyed by the parse function
-    and all its arguments, for this call only: a corpus repeats few distinct
-    values, and an error is never remembered, so each bad value raises afresh."""
-    memo: dict[tuple, float] = {}  # (parse function, *its arguments) -> its value
-    stack: list = []  # open elements: (attrs, children, byte index)
-    found: dict[str, str | None] = {}
-    parser = raw = base = None  # the line being read
+def _wrap(text: str) -> tuple[bytes, int]:
+    """A line's bytes inside the wrapper, and the character offset in the line
+    where they start (past a leading XML declaration)."""
+    decl = _XML_DECL_RE.match(text)
+    base = decl.end() if decl else 0
+    # a lone surrogate passes into the bytes, where expat rejects it as an invalid token
+    return f"{_ROOT_TAG}{text[base:]}{_ROOT_END}".encode("utf-8", "surrogatepass"), base
 
-    def number(parse, *args) -> float:
-        key = (parse, *args)
-        value = memo.get(key)
+
+def _offset(raw: bytes, base: int, byte_idx: int) -> int:
+    """Character offset in the line of a byte index into its wrapped bytes (slow: errors only)."""
+    prefix = raw[: max(0, byte_idx)].decode("utf-8", errors="ignore")
+    return max(0, len(prefix) - len(_ROOT_TAG)) + base
+
+
+def _reader():
+    """The line reader of one parse or parse_corpus call, as ``(read, read_lines)``.
+
+    ``read(raw, base)`` reads one wrapped line alone, on its own expat parser,
+    and gives its nodes, language and voice. ``read_lines(lines)`` yields the
+    same for each non-blank line, read on one shared parser, each wrapped line
+    a child of one outer element. A line that raises there, or whose wrapper
+    is not the one element that the wrapper's own end tag closes, is read
+    again alone by ``read``, so its error (with its line number) or its nodes
+    are the ones ``read`` gives, and the lines after it go on on a fresh
+    shared parser. Both remember each
+    percentage's value and each break and silence node they parsed, for this
+    call only: a corpus repeats few distinct values, and an error is never
+    remembered, so each bad value raises afresh."""
+    pcts: dict[str, float] = {}  # raw percentage -> its value
+    # ("break", raw time) or (silence position, raw value) -> its node, frozen and
+    # so shared; the key's kind keeps the unit rule: a bare number is a silence
+    # value but no break time
+    timed: dict[tuple[str, str], BreakElement | SilenceDirective] = {}
+    # open elements: (attrs, children, byte index), above one frame that holds the lines
+    stack: list = []
+    # (nodes, lang, voice, byte index of its end tag) of each line whose wrapper has closed
+    closed: list = []
+    found: dict[str, str | None] = {"xml:lang": None, "name": None}  # the open line's
+    parser = None
+
+    def pct(name: str, raw: str) -> float:
+        value = pcts.get(raw)
         if value is None:
-            value = memo[key] = parse(*args)
+            value = pcts[raw] = _parse_pct(name, raw)
         return value
 
-    # builders: each appends its element's node, or its children, to the parent's
-    def prosody(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
-        # in document order, so that the first bad value raises
-        values = {k: number(_parse_pct, k, v) for k, v in attrs.items() if k in _PCT_ATTRS}
-        extra = () if len(values) == len(attrs) else tuple(
-            (k, v) for k, v in attrs.items() if k not in values)
-        parent.append(ProsodyElement(values.get("pitch"), values.get("rate"),
-                                     values.get("volume"), tuple(children), extra))
-
-    def brk(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
-        if "time" not in attrs:
-            raise ValueError("break element is missing its time attribute")
-        parent.append(BreakElement(number(_parse_ms, "break time", attrs["time"], True)))
-
-    def silence(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
-        if attrs.get("type") not in (LEADING_EXACT, TRAILING_EXACT):
-            return opaque(tag, attrs, children, parent)
-        value = number(_parse_ms, "silence value", attrs.get("value", "0"), False)
-        parent.append(SilenceDirective(attrs["type"], value))
-
-    def opaque(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
-        parent.append(OpaqueElement(tag, tuple(attrs.items()), tuple(children)))
-
-    def envelope(key: str | None):
-        def unwrap(tag: str, attrs: dict[str, str], children: list[Node], parent: list[Node]):
-            if key in attrs:
-                found[key] = attrs[key]
-            parent.extend(children)
-        return unwrap
-
-    # the subset's elements and the envelopes; any other tag is opaque
-    builders = {"prosody": prosody, "break": brk, "mstts:silence": silence,
-                **{tag: envelope(key) for tag, key in _ENVELOPES.items()}}
-
-    def offset(byte_idx: int) -> int:
-        """Character offset in the line of a byte index into ``raw`` (slow: errors only)."""
-        prefix = raw[: max(0, byte_idx)].decode("utf-8", errors="ignore")
-        return max(0, len(prefix) - len(_ROOT_TAG)) + base
-
     def start(tag: str, attrs: dict[str, str]):
-        # the stack holds a base frame and the wrapper before any element
+        # the stack holds the lines' frame and the wrapper before any element
         if len(stack) > MAX_DEPTH + 1:
+            # its offset a byte index until read() turns it into the line's
             raise SsmlParseError(f"elements nested more than {MAX_DEPTH} deep",
-                                 offset(parser.CurrentByteIndex))
+                                 parser.CurrentByteIndex)
         stack.append((attrs, [], parser.CurrentByteIndex))
 
     def chars(data: str):
@@ -385,41 +381,116 @@ def _line_reader():
 
     def end(tag: str):
         attrs, children, byte_idx = stack.pop()
+        if len(stack) == 1:  # a line's wrapper
+            closed.append((tuple(children), found["xml:lang"], found["name"],
+                           parser.CurrentByteIndex))
+            found["xml:lang"] = found["name"] = None
+            return
+        parent = stack[-1][1]
         try:
-            builders.get(tag, opaque)(tag, attrs, children, stack[-1][1])
+            if tag == "prosody":
+                # in document order, so that the first bad value raises
+                pitch = rate = volume = None
+                extra = []
+                for k, v in attrs.items():
+                    if k == "pitch":
+                        pitch = pct(k, v)
+                    elif k == "rate":
+                        rate = pct(k, v)
+                    elif k == "volume":
+                        volume = pct(k, v)
+                    else:
+                        extra.append((k, v))
+                parent.append(ProsodyElement(pitch, rate, volume, tuple(children), tuple(extra)))
+            elif tag == "break":
+                key = (tag, attrs.get("time"))
+                node = timed.get(key)
+                if node is None:
+                    if key[1] is None:
+                        raise ValueError("break element is missing its time attribute")
+                    node = timed[key] = BreakElement(_parse_ms("break time", key[1], True))
+                parent.append(node)
+            elif tag == "mstts:silence" and attrs.get("type") in (LEADING_EXACT, TRAILING_EXACT):
+                key = (attrs["type"], attrs.get("value", "0"))
+                node = timed.get(key)
+                if node is None:
+                    node = timed[key] = SilenceDirective(
+                        key[0], _parse_ms("silence value", key[1], False))
+                parent.append(node)
+            elif tag in _ENVELOPES:
+                key = _ENVELOPES[tag]
+                if key in attrs:
+                    found[key] = attrs[key]
+                parent.extend(children)
+            else:  # outside the subset
+                parent.append(OpaqueElement(tag, tuple(attrs.items()), tuple(children)))
         except ValueError as exc:
-            raise SsmlParseError(str(exc), offset(byte_idx)) from None
+            raise SsmlParseError(str(exc), byte_idx) from None  # as start() raises
 
-    def read(text: str) -> tuple[tuple[Node, ...], str | None, str | None]:
-        nonlocal parser, raw, base
-        decl = _XML_DECL_RE.match(text)
-        base = decl.end() if decl else 0
-        # a lone surrogate passes into the bytes, where expat rejects it as an invalid token
-        raw = f"{_ROOT_TAG}{text[base:]}</__root__>".encode("utf-8", "surrogatepass")
-        root: list[Node] = []
-        stack[:] = [({}, root, 0)]
-        found["xml:lang"] = found["name"] = None
+    def new_parser(buffer_size: int):
+        nonlocal parser
         parser = expat.ParserCreate()
         # one CharacterDataHandler call per run of text: pyexpat flushes its
-        # buffer before each element handler, and no run outgrows the line
-        parser.buffer_size = len(raw)
+        # buffer before each element handler, and no run outgrows a line
+        parser.buffer_size = buffer_size
         parser.buffer_text = True
         parser.StartElementHandler = start
         parser.EndElementHandler = end
         parser.CharacterDataHandler = chars
+        found["xml:lang"] = found["name"] = None
+        closed.clear()
+        return parser
+
+    def read(raw: bytes, base: int) -> _Line:
+        stack[:] = [({}, [], 0)]
+        line_parser = new_parser(len(raw))
         try:
-            parser.Parse(raw, True)
+            line_parser.Parse(raw, True)
         except expat.ExpatError as exc:
             raise SsmlParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
-                                 offset(parser.ErrorByteIndex)) from None
-        return tuple(root), found["xml:lang"], found["name"]
+                                 _offset(raw, base, line_parser.ErrorByteIndex)) from None
+        except SsmlParseError as exc:  # a handler's, at a byte index
+            raise SsmlParseError(exc.args[0], _offset(raw, base, exc.offset)) from None
+        return closed.pop()[:3]
 
-    return read
+    def read_lines(lines: list[str]) -> Iterator[_Line]:
+        shared = None
+        for lineno, text in enumerate(lines, start=1):
+            if not text.strip():
+                continue
+            raw, base = _wrap(text)
+            if shared is None:
+                stack.clear()
+                shared = new_parser(len(raw))
+                shared.Parse(_CORPUS_TAG, False)  # its start handler pushes the lines' frame
+                fed = len(_CORPUS_TAG)
+            elif len(raw) > shared.buffer_size:
+                shared.buffer_size = len(raw)
+            fed += len(raw)
+            try:
+                shared.Parse(raw, False)
+                # one wrapper closed, by the end tag that ends the chunk: a line that
+                # closes its own, then opens a comment, has it swallow that end tag
+                clean = (len(stack) == 1 and len(closed) == 1
+                         and closed[0][3] == fed - len(_ROOT_END))
+            except Exception:  # noqa: BLE001 - the line is read again alone below
+                clean = False
+            if clean:
+                yield closed.pop()[:3]
+                continue
+            shared = None
+            try:
+                yield read(raw, base)
+            except SsmlParseError as exc:
+                raise SsmlParseError(exc.args[0], exc.offset, lineno) from None
+
+    return read, read_lines
 
 
 def parse(text: str) -> SsmlDocument:
     """Parse one SSML fragment or document into a single-segment document."""
-    nodes, lang, voice = _line_reader()(text)
+    read, _ = _reader()
+    nodes, lang, voice = read(*_wrap(text))
     return SsmlDocument(segments=(nodes,), lang=lang, voice=voice)
 
 
@@ -427,16 +498,10 @@ def parse_corpus(text: str) -> SsmlDocument:
     """Parse a corpus file: one SSML fragment or document per non-blank line,
     each line becoming one segment. An error names its line, counting blank
     lines."""
-    read = _line_reader()
+    _, read_lines = _reader()
     segments: list[tuple[Node, ...]] = []
     lang = voice = None
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip():
-            continue
-        try:
-            nodes, seg_lang, seg_voice = read(line)
-        except SsmlParseError as exc:
-            raise SsmlParseError(exc.args[0], exc.offset, lineno) from None
+    for nodes, seg_lang, seg_voice in read_lines(split_lines(text)):
         segments.append(nodes)
         lang = lang or seg_lang
         voice = voice or seg_voice

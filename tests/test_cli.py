@@ -785,6 +785,14 @@ def _validate_config_without_equals(root):
     return ["validate-ssml", _ssml_doc(root), "--config", config], config
 
 
+def _validate_config(text, named):
+    """validate-ssml with a config file holding ``text``; the error names ``named``."""
+    def build(root):
+        config = _write(root / "c.cfg", text)
+        return ["validate-ssml", _ssml_doc(root), "--config", config], named
+    return build
+
+
 def _no_files(command):
     return lambda root: ([command], "no SSML files given")
 
@@ -958,6 +966,8 @@ CONTRACT_ROWS = [
     ("validate-not-utf8", _not_utf8("validate-ssml"), 3),
     ("validate-missing-config", _validate_missing_config, 2),
     ("validate-config-without-equals", _validate_config_without_equals, 3),
+    ("validate-config-pitch-clip-overflows",
+     _validate_config("pitch_clip_semitones = 1e6\n", "pitch_clip_semitones"), 3),
     ("annotate-pair-not-object", _manifest([5]), 3),
     ("annotate-duplicate-names", _manifest([{"name": "p"}, {"name": "p"}], corpus=True), 3),
     ("annotate-names-one-path", _manifest([{"name": "b"}, {"name": "./b"}], corpus=True), 3),

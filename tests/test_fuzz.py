@@ -17,7 +17,7 @@ from prosodika.audio import AudioError, load_wav
 from prosodika.metrics import tag_census
 from prosodika.pipeline import ManifestError, load_manifest
 from prosodika.prosody import read_delta_records
-from prosodika.textgrid import TextGridParseError, parse_textgrid, read_textgrid
+from prosodika.textgrid import TextGridParseError, parse_textgrid, read_textgrid, split_lines
 
 from conftest import long_textgrid, short_textgrid
 
@@ -142,6 +142,56 @@ def test_parse_corpus_raises_only_parse_errors(text):
         return
     ssml.validate(doc)  # what validate-ssml and census run next
     tag_census([doc])
+
+
+# pieces of markup that span or break a line's wrapper on a parser that the
+# lines of a corpus share
+CORPUS_HAZARDS = ["</__root__>", "<__root__>", "</__corpus__>", "<!--", "-->", "<![CDATA[",
+                  "]]>", "<?pi ", "?>", '<b a="', "\r\n"]
+# whole elements, so that most lines read cleanly and a hazard among them is
+# what decides a line's fate
+LINE_PIECES = ['<prosody pitch="+1.00%" rate="-2.50%">mot</prosody>', '<break time="200ms"/>',
+               "texte ", '<mstts:silence type="leading-exact" value="0"/>', "<!-- c -->",
+               "<![CDATA[ d ]]>", '<speak xml:lang="fr">e</speak>', '<voice name="v">f</voice>']
+
+
+def _fold_parse(text: str) -> ssml.SsmlDocument:
+    """parse_corpus's reference: ``parse`` on each non-blank line, the first
+    non-empty language and voice kept, an error given its line number."""
+    segments, lang, voice = [], None, None
+    for lineno, line in enumerate(split_lines(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = ssml.parse(line)
+        except ssml.SsmlParseError as exc:
+            raise ssml.SsmlParseError(exc.args[0], exc.offset, lineno) from None
+        segments += doc.segments
+        lang, voice = lang or doc.lang, voice or doc.voice
+    return ssml.SsmlDocument(tuple(segments), lang, voice)
+
+
+@FUZZ
+@given(text=st.lists(st.sampled_from(SSML_TOKENS + CORPUS_HAZARDS) | st.text(max_size=4),
+                     max_size=40).map("".join)
+       | st.lists(st.lists(st.sampled_from(LINE_PIECES) | st.sampled_from(CORPUS_HAZARDS),
+                           max_size=6).map("".join), max_size=6).map("\n".join))
+@example(text='<break time="1ms"/>\na</__root__><__root__>b\nmot')
+@example(text="mot\na</__root__><!--\nfin -->")  # the comment swallows the wrapper's end tag
+@example(text="mot\na</__root__>\nfin")  # an error after the line's wrapper has closed
+@example(text='<voice name="">a</voice>\nb')  # a line's envelope says nothing of the next
+@example(text='<speak>a</speak>\n<speak xml:lang="">b</speak>\n'
+              '<speak xml:lang="fr"><voice name="v"><speak xml:lang="it">c</speak></voice></speak>\n'
+              '<speak xml:lang="de">d</speak>')
+def test_parse_corpus_is_parse_folded_over_its_lines(text):
+    try:
+        expected = _fold_parse(text)
+    except ssml.SsmlParseError as exc:
+        with pytest.raises(ssml.SsmlParseError) as err:
+            ssml.parse_corpus(text)
+        assert err.value.args == exc.args
+        return
+    assert ssml.parse_corpus(text) == expected
 
 
 NESTING_TAGS = ["prosody", "emphasis", "s", "mstts:express-as", "voice", "speak"]

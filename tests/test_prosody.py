@@ -404,6 +404,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             PipelineConfig.from_mapping({key: "-0.001"})
 
+    def test_pitch_clip_whose_bounds_overflow_refused(self):
+        # 2 ** (P / 12) overflows from P = 12288, and the percent bound a little before
+        assert math.isfinite(PipelineConfig(pitch_clip_semitones=12208).pitch_bounds_pct()[1])
+        for value in ["12209", "1e6", "1.7e308"]:
+            with pytest.raises(ValueError, match="pitch_clip_semitones"):
+                PipelineConfig.from_mapping({"pitch_clip_semitones": value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(["pitch_clip_semitones", "volume_clip_pct", "rate_clip_pct",
+                         "max_jump_pct", "smoothing_alpha"]),
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(1e3, 1e5) | st.sampled_from([12208.27, 12208.28, 1.7e308, 5e-324])))
+    def test_every_config_that_constructs_has_finite_bounds(self, mapping):
+        try:
+            cfg = PipelineConfig.from_mapping(mapping)
+        except ValueError:
+            return
+        bounds = [*cfg.clip_ranges().values(), cfg.pitch_bounds_pct()]
+        assert all(math.isfinite(x) for pair in bounds for x in pair), bounds
+
 
 class TestWriteAtomic:
     def test_failed_write_removes_the_temporary_file(self, tmp_path):

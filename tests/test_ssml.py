@@ -196,6 +196,8 @@ class TestParse:
         assert len(text.encode("utf-8")) > 3 * 8192
         (node,) = parse(text).segments[0]
         assert node.children == (TextNode(f"{words} & é {words} <x> fin"),)
+        # a corpus's parser grows its buffer for a line longer than those before it
+        assert parse_corpus(f"mot\n{text}").segments[1] == (node,)
 
     def test_attributes_keep_document_order(self):
         doc = parse('<emphasis z="1" level="strong" a="2">mot</emphasis>'
@@ -320,6 +322,61 @@ class TestParseCorpus:
                          '<break time="200"/>')
         assert (err.value.args[0], err.value.line) == (
             "break time '200' is missing its ms/s unit", 2)
+
+    # lines that can fool a parser shared by the lines of a corpus: each follows
+    # two good lines and precedes one, and raises what it raised when each line
+    # had its own parser
+    LONG_LINE = emit([(f"mot {i}", delta(pitch=1.0, break_ms=10)) for i in range(999)])
+
+    @pytest.mark.parametrize("hazard,message,offset", [
+        ("a</__root__><__root__>b", "malformed XML: junk after document element", 12),
+        ("a</__root__></__corpus__>", "malformed XML: not well-formed (invalid token)", 13),
+        ("a</__root__>", "malformed XML: not well-formed (invalid token)", 13),
+        ("a</__root__><!--", "malformed XML: unclosed token", 12),
+        ("a</__root__>b<!--", "malformed XML: not well-formed (invalid token)", 13),
+        ("a</__root__><![CDATA[", "malformed XML: junk after document element", 12),
+        ("a</__root__><?pi ", "malformed XML: unclosed token", 12),
+        ("a <!-- b", "malformed XML: unclosed token", 2),
+        ("a <![CDATA[ b", "malformed XML: unclosed CDATA section", 24),
+        ('<prosody pitch="+1.00%>mot</prosody>',
+         "malformed XML: not well-formed (invalid token)", 26),
+        ("<s>" * (ssml.MAX_DEPTH + 1) + "mot" + "</s>" * (ssml.MAX_DEPTH + 1),
+         f"elements nested more than {ssml.MAX_DEPTH} deep", 300),
+        (LONG_LINE + '<prosody rate="+1.00">fin</prosody>',
+         "rate value '+1.00' is missing the % suffix", 90799),
+    ], ids=["forged-wrapper", "forged-outer-close", "forged-close",
+            "forged-close-then-comment", "forged-close-then-text-and-comment",
+            "forged-close-then-cdata", "forged-close-then-processing-instruction",
+            "unterminated-comment", "unterminated-cdata", "unterminated-quote", "too-deep",
+            "bad-percent-on-1000th-syntagm"])
+    def test_a_line_that_does_not_close_cleanly_raises_its_own_error(
+            self, hazard, message, offset):
+        text = "\n".join(['<break time="1ms"/>mot', '<prosody pitch="+1.00%">deux</prosody>',
+                          hazard, "fin"])
+        with pytest.raises(SsmlParseError) as err:
+            parse_corpus(text)
+        assert err.value.args == (message, offset, 3)
+
+    def test_a_line_the_shared_parser_fails_on_is_read_alone(self, monkeypatch):
+        # an error that is not the line's own (here one the first time a value
+        # is parsed) sends the line to a parser of its own; the lines after it
+        # go on on a fresh shared parser
+        real, calls = ssml._parse_pct, []
+
+        def parse_pct(name, raw):
+            calls.append(raw)
+            if len(calls) == 1:
+                raise RuntimeError("not the line's fault")
+            return real(name, raw)
+
+        monkeypatch.setattr(ssml, "_parse_pct", parse_pct)
+        lines = ["mot", '<prosody pitch="+1.00%">deux</prosody>',
+                 '<speak xml:lang="fr"><prosody rate="-2.00%">trois</prosody></speak>']
+        doc = parse_corpus("\n".join(lines))
+        assert calls == ["+1.00%", "+1.00%", "-2.00%"]
+        monkeypatch.setattr(ssml, "_parse_pct", real)
+        assert doc == parse_corpus("\n".join(lines))
+        assert doc.lang == "fr" and len(doc.segments) == 3
 
     @pytest.mark.parametrize("parser", [parse, parse_corpus])
     def test_calls_share_no_number_memo(self, monkeypatch, parser):
