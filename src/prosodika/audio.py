@@ -2,8 +2,7 @@
 peak normalization and RMS-gated speech segmentation.
 
 The public functions are pure: buffers are never modified in place, so they
-are safe to hand to concurrent workers. Only ``pipeline._prepare_audio``
-scales an array in place: the resampled one, which it alone holds.
+are safe to hand to concurrent workers.
 """
 
 from __future__ import annotations
@@ -44,34 +43,74 @@ RMS_WINDOW_MS = 25
 RMS_HOP_MS = 10
 
 
-@dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Mono sampled signal. Samples are finite float64, nominally in [-1, +1]:
-    resampling may overshoot (a full-scale 440 Hz square wave at 44.1 kHz
-    peaks at 1.18 after resample_to_16k)."""
+    """Mono sampled signal: ``len(buf)`` finite float64 samples at
+    ``sample_rate``, nominally in [-1, +1] (resampling may overshoot: a
+    full-scale 440 Hz square wave at 44.1 kHz peaks at 1.18 after
+    resample_to_16k).
 
-    samples: np.ndarray
-    sample_rate: int
+    The samples are read through ``window(a, b)``. A buffer holds them either
+    as a float64 array (``AudioBuffer(samples, rate)``, and resample_to_16k's
+    output) or as the sample bytes of a WAV data chunk (load_wav's output),
+    which each window decodes, so a 16-bit voice costs 2 bytes per sample
+    rather than 8. peak_normalize adds a peak that every window is divided
+    by. ``samples`` builds the whole signal, read-only, on each request.
+    """
 
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        arr = np.asarray(self.samples, dtype=np.float64)
+    __slots__ = ("sample_rate", "_len", "_source", "_layout", "_peak")
+
+    def __init__(self, samples: np.ndarray, sample_rate: int):
+        if sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+        arr = np.asarray(samples, dtype=np.float64)
         arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        self.sample_rate, self._len = sample_rate, len(arr)
+        self._source, self._layout, self._peak = arr, None, 1.0
+
+    @classmethod
+    def _of(cls, sample_rate: int, n: int, source, layout: tuple[int, int, int] | None,
+            peak: float = 1.0) -> AudioBuffer:
+        """n samples held as ``source``: a float64 array (layout None) or a
+        data chunk's whole frames of the (bits, audio format, channels)
+        layout, each window divided by ``peak``."""
+        buf = cls.__new__(cls)
+        buf.sample_rate, buf._len = sample_rate, n
+        buf._source, buf._layout, buf._peak = source, layout, peak
+        return buf
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._len
+
+    def window(self, a: int, b: int) -> np.ndarray:
+        """The samples from index ``a`` up to ``b``, a fresh array or a
+        read-only view; a window that runs past either end is cut to the
+        buffer."""
+        a = max(a, 0)
+        b = max(a, min(b, self._len))
+        if self._layout is None:
+            x = self._source[a:b]
+            return x if self._peak == 1.0 else x / self._peak
+        bits, audio_format, n_channels = self._layout
+        frame = bits // 8 * n_channels
+        x = _decode_pcm(self._source[a * frame : b * frame], bits, audio_format, n_channels)
+        if self._peak != 1.0:
+            x /= self._peak  # x is fresh: the bits of x / peak
+        return x
+
+    @property
+    def samples(self) -> np.ndarray:
+        x = self.window(0, self._len)
+        x.setflags(write=False)
+        return x
 
     @property
     def duration_ms(self) -> int:
-        return round(1000 * len(self.samples) / self.sample_rate)
+        return round(1000 * self._len / self.sample_rate)
 
     def slice_ms(self, start_ms: float, end_ms: float) -> np.ndarray:
-        """View of the samples covering [start_ms, end_ms)."""
-        a = max(0, int(round(start_ms * self.sample_rate / 1000.0)))
-        b = min(len(self.samples), int(round(end_ms * self.sample_rate / 1000.0)))
-        return self.samples[a:b]
+        """The window covering [start_ms, end_ms)."""
+        return self.window(int(round(start_ms * self.sample_rate / 1000.0)),
+                           int(round(end_ms * self.sample_rate / 1000.0)))
 
 
 @dataclass(frozen=True, order=True)
@@ -86,30 +125,15 @@ class SegmentBounds:
             raise ValueError(f"invalid bounds [{self.start_ms}, {self.end_ms})")
 
 
-def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int,
-                n_channels: int) -> np.ndarray:
-    """The data chunk's samples scaled to [-1, +1], the two channels of a
-    stereo file averaged."""
-    if audio_format not in (1, 3):
-        raise UnsupportedFormatError(f"{path}: WAV audio format tag {audio_format} not supported")
-    if audio_format == 3 and bits != 32:
-        raise UnsupportedFormatError(f"{path}: {bits}-bit float WAV not supported")
-    if bits not in (8, 16, 24, 32):
-        raise UnsupportedFormatError(f"{path}: {bits}-bit integer WAV not supported")
-    raw = raw[: len(raw) - len(raw) % (bits // 8)]  # drop a partial last sample (a view)
-    if audio_format == 3:  # IEEE float
-        single = np.frombuffer(raw, dtype="<f4")
-        # checked before the cast: casting a signalling NaN raises the FP invalid flag
-        bad = np.flatnonzero(~np.isfinite(single))
-        if bad.size:
-            # one NaN would spread through peak normalization to every sample
-            raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
-        data = single.astype(np.float64)
+def _decode_pcm(raw: memoryview, bits: int, audio_format: int, n_channels: int) -> np.ndarray:
+    """A fresh array of the whole frames in ``raw`` (a layout load_wav
+    accepts) scaled to [-1, +1], the two channels of a stereo file averaged."""
+    if audio_format == 3:  # IEEE float, every sample finite (load_wav checks)
+        data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         np.clip(data, -1.0, 1.0, out=data)
         if n_channels == 1:
             return data
-        n = len(data) // 2
-        mixed = data[0 : 2 * n : 2] + data[1 : 2 * n : 2]
+        mixed = data[0::2] + data[1::2]
         # a pair of negative zeros (only float samples hold them) averages
         # to +0.0, as numpy's mean gives: it sums from 0.0
         mixed += 0.0
@@ -131,10 +155,9 @@ def _decode_pcm(path: Path, raw: memoryview, bits: int, audio_format: int,
         return np.multiply(_signed(ints, bits), scale, dtype=np.float64)
     # the channels' sum is exact in an integer type wide enough to hold it,
     # and scaling it once gives the bits of averaging the scaled channels
-    n = len(ints) // 2
     wide = {8: np.int16, 16: np.int32, 24: np.int32, 32: np.int64}[bits]
-    total = _signed(ints[0 : 2 * n : 2], bits).astype(wide, copy=False)
-    total += _signed(ints[1 : 2 * n : 2], bits)
+    total = _signed(ints[0::2], bits).astype(wide, copy=False)
+    total += _signed(ints[1::2], bits)
     return np.multiply(total, scale, dtype=np.float64)
 
 
@@ -154,7 +177,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
     Accepts 1- or 2-channel files with 8/16/24/32-bit integer or 32-bit
     float samples. Stereo is downmixed by averaging the channels; samples
     are scaled to [-1, +1]. A partial last sample or frame is dropped. Every
-    error is an AudioError that names the file.
+    error is an AudioError that names the file, raised here: the buffer
+    holds the file's sample bytes and decodes them a window at a time.
     """
     path = Path(path)
     try:
@@ -167,7 +191,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
     fmt = None
     data = None
     pos = 12
-    view = memoryview(blob)  # chunk bodies are views: the decode makes the only copy
+    view = memoryview(blob)  # chunk bodies are views: the buffer holds the file's bytes
     while pos + 8 <= len(blob):
         chunk_id = blob[pos : pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
@@ -189,11 +213,23 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: {n_channels} channels not supported")
     if sample_rate == 0:
         raise UnsupportedRateError(f"{path}: sample rate 0 Hz")
-
-    samples = _decode_pcm(path, data, bits, audio_format, n_channels)
-    if not len(samples):
+    if audio_format not in (1, 3):
+        raise UnsupportedFormatError(f"{path}: WAV audio format tag {audio_format} not supported")
+    if audio_format == 3 and bits != 32:
+        raise UnsupportedFormatError(f"{path}: {bits}-bit float WAV not supported")
+    if bits not in (8, 16, 24, 32):
+        raise UnsupportedFormatError(f"{path}: {bits}-bit integer WAV not supported")
+    if audio_format == 3:
+        # checked before any cast: casting a signalling NaN raises the FP invalid flag
+        bad = np.flatnonzero(~np.isfinite(np.frombuffer(data[: len(data) & ~3], dtype="<f4")))
+        if bad.size:
+            # one NaN would spread through peak normalization to every sample
+            raise UnsupportedFormatError(f"{path}: non-finite float sample at index {bad[0]}")
+    frame = bits // 8 * n_channels
+    n = len(data) // frame  # a partial last sample or frame is dropped
+    if not n:
         raise UnsupportedFormatError(f"{path}: data chunk holds no whole sample")
-    return AudioBuffer(samples, sample_rate)
+    return AudioBuffer._of(sample_rate, n, data[: n * frame], (bits, audio_format, n_channels))
 
 
 @functools.lru_cache(maxsize=4)  # a corpus has few source rates; a kernel has 64 * up taps
@@ -228,16 +264,20 @@ def resample_to_16k(buf: AudioBuffer) -> AudioBuffer:
 
 
 def peak_normalize(buf: AudioBuffer) -> AudioBuffer:
-    """Scale so the absolute peak is exactly 1.0.
+    """Scale so the absolute peak is exactly 1.0: a buffer of the same
+    samples whose windows are divided by their peak.
 
     Silent buffers come back unchanged so batch jobs survive silent files.
     """
-    if len(buf.samples) == 0:
+    if len(buf) == 0:
         raise ValueError("cannot normalize an empty buffer")
-    peak = peak_amplitude(buf.samples)
+    peak = max(peak_amplitude(buf.window(a, a + _RUN_CHUNK))
+               for a in range(0, len(buf), _RUN_CHUNK))
     if peak == 0.0 or peak == 1.0:
         return buf
-    return AudioBuffer(buf.samples / peak, buf.sample_rate)
+    # the same samples, each window divided by the peak: no copy. A divided
+    # buffer's peak is exactly 1.0, so a second call returns it unchanged
+    return AudioBuffer._of(buf.sample_rate, len(buf), buf._source, buf._layout, peak)
 
 
 def peak_amplitude(samples: np.ndarray) -> float:
@@ -246,14 +286,15 @@ def peak_amplitude(samples: np.ndarray) -> float:
     return float(max(samples.max(), -samples.min()))
 
 
-# samples per block of window_power's running sum
+# samples per block of window_power's running sum and of peak_normalize's scan
 _RUN_CHUNK = 1 << 16
 
 
-def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
+def window_power(samples: np.ndarray | AudioBuffer, win: int, hop: int) -> np.ndarray:
     """Mean squared sample over each whole ``win``-sample window, one window
-    every ``hop`` samples. ValueError if a windowed sample is not finite or
-    the sum of their squares overflows."""
+    every ``hop`` samples, of an array or a buffer's windows. ValueError if
+    a windowed sample is not finite or the sum of their squares overflows."""
+    read = samples.window if isinstance(samples, AudioBuffer) else lambda a, b: samples[a:b]
     n_windows = (len(samples) - win) // hop + 1
     if n_windows <= 0:
         return np.empty(0)
@@ -263,12 +304,11 @@ def window_power(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     # in the order one cumsum over the whole input would (the same bits)
     # and no full-length array is held
     last = (n_windows - 1) * hop + win
-    samples = samples[:last]
     block = np.empty(min(last, _RUN_CHUNK) + 1)
     at_start, at_end = np.empty(n_windows), np.empty(n_windows)
     total = 0.0
     for a in range(0, last + 1, _RUN_CHUNK):
-        x = samples[a : a + _RUN_CHUNK]
+        x = read(a, min(a + _RUN_CHUNK, last))
         run = block[: len(x) + 1]  # run[j] is the running sum at index a + j
         run[0] = total
         with np.errstate(over="ignore", invalid="ignore"):  # the total is checked below
@@ -306,7 +346,7 @@ def detect_speech_segments(
     if hop == 0:
         raise ValueError(f"sample rate {buf.sample_rate} Hz too low for a {RMS_HOP_MS} ms RMS hop")
     with np.errstate(divide="ignore"):
-        rms_db = 10.0 * np.log10(window_power(buf.samples, win, hop))
+        rms_db = 10.0 * np.log10(window_power(buf, win, hop))
     speech = rms_db > threshold_dbfs
     merged: list[list[int]] = []  # [start_ms, end_ms] over window extents
     for i in np.flatnonzero(speech):

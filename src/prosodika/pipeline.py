@@ -15,14 +15,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .audio import (
-    TARGET_RATE,
     AudioBuffer,
     SegmentBounds,
     UnsupportedRateError,
     detect_speech_segments,
     load_wav,
-    peak_amplitude,
-    peak_normalize,  # not called here: perfbench/spans.py traces it by this name
+    peak_normalize,
     resample_to_16k,
 )
 from .loudness import integrated_loudness
@@ -139,28 +137,21 @@ GRID_END_TOLERANCE_MS = 20
 
 
 def prepare_audio(path: str | Path) -> AudioBuffer:
-    """Load, resample to 16 kHz, and peak-normalize: the samples of
+    """Load, resample to 16 kHz, and peak-normalize:
     ``peak_normalize(resample_to_16k(load_wav(path)))``."""
     return _prepare_audio(path)[0]
 
 
 def _prepare_audio(path: str | Path) -> tuple[AudioBuffer, float]:
     """prepare_audio's buffer and the source WAV's duration in ms. Only
-    ``buf`` holds the source, so each stage frees the one before it, and
-    the resampled array is scaled in place: no stage holds two copies."""
+    ``buf`` holds the source, so each stage frees the one before it."""
     buf = load_wav(path)
     source_ms = 1000 * len(buf) / buf.sample_rate
     try:
         buf = resample_to_16k(buf)
     except UnsupportedRateError as exc:
         raise UnsupportedRateError(f"{path}: {exc}") from None
-    samples = buf.samples
-    del buf  # load_wav and resample_to_16k return a fresh array: now only ours
-    peak = peak_amplitude(samples)
-    if peak != 0.0 and peak != 1.0:  # as peak_normalize
-        samples.setflags(write=True)
-        samples /= peak
-    return AudioBuffer(samples, TARGET_RATE), source_ms
+    return peak_normalize(buf), source_ms
 
 
 def pick_words_tier(tiers: list[TextGridTier], name: str | None) -> TextGridTier:

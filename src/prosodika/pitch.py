@@ -152,7 +152,7 @@ def estimate_f0_track(buf: AudioBuffer,
     w = frame_len // 2
     lag_max = min(w, int(np.ceil(sr / FMIN)))
     lag_min = max(2, int(sr // FMAX))
-    n_frames = max(0, (len(buf.samples) - frame_len) // hop + 1)
+    n_frames = max(0, (len(buf) - frame_len) // hop + 1)
     time_ms = (np.arange(n_frames) * hop + frame_len / 2.0) * 1000.0 / sr
     if spans is None:
         keep = np.arange(n_frames)
@@ -170,7 +170,7 @@ def estimate_f0_track(buf: AudioBuffer,
     for base, i, j in zip(bases, cuts, cuts[1:]):
         if i < j:
             rows = keep[i:j] - base
-            samples = buf.samples[base * hop : (base + rows[-1]) * hop + frame_len]
+            samples = buf.window(base * hop, (base + rows[-1]) * hop + frame_len)
             f0[i:j] = _pick_f0(_cmndf_batch(samples, rows, frame_len, hop, w, lag_max),
                                lag_min, sr)
     return F0Track.from_arrays(time_ms[keep], f0)

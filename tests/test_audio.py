@@ -18,6 +18,9 @@ from prosodika.audio import (
     resample_to_16k,
     window_power,
 )
+from prosodika.loudness import integrated_loudness
+from prosodika.pipeline import prepare_audio
+from prosodika.pitch import estimate_f0_track
 
 from conftest import tone, traced_peak, write_wav_int16, write_wav_raw
 
@@ -202,6 +205,79 @@ class TestBitExactDecode:
         bits, audio_format = layout
         path = tmp_path_factory.mktemp("wav") / "r.wav"
         assert_decodes_like_reference(path, data, channels, bits, audio_format)
+
+
+def encode(values: np.ndarray, bits: int, audio_format: int) -> bytes:
+    """WAV sample bytes of ``values`` (in [-1, +1)) in one layout."""
+    if audio_format == 3:
+        return values.astype("<f4").tobytes()
+    codes = np.clip(np.round(values * 2 ** (bits - 1)), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    if bits == 8:
+        return (codes + 128).astype(np.uint8).tobytes()
+    if bits == 24:
+        return codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return codes.astype(f"<i{bits // 8}").tobytes()
+
+
+def window_edges(n: int) -> list[tuple[int, int]]:
+    """(a, b) windows of an n-sample buffer: whole, empty, inside, across
+    a block of peak_normalize's scan, and past either end."""
+    chunk = audio._RUN_CHUNK
+    return [(0, n), (0, 0), (3, 4), (n // 3, 2 * n // 3), (chunk - 2, chunk + 3), (5, 2),
+            (-7, 5), (n - 5, n + 100), (n, n + 3), (n + 10, n + 20), (-3, n + 3)]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("bits, audio_format", LAYOUTS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+    def test_windows_are_slices_of_the_whole(self, tmp_path, bits, audio_format, channels,
+                                             rate):
+        n = audio._RUN_CHUNK + 1001
+        rng = np.random.default_rng(rate + bits)
+        loud = payload(bits, audio_format, n * channels, seed=rate + bits)  # peak 1.0
+        quiet = encode(rng.uniform(-0.4, 0.4, n * channels), bits, audio_format)
+        for data in (loud, quiet):
+            path = tmp_path / "a.wav"
+            write_wav_raw(path, data, rate, channels=channels, bits=bits,
+                          audio_format=audio_format)
+            buf = load_wav(path)
+            assert (len(buf), buf.sample_rate) == (n, rate)
+            normalized = peak_normalize(buf)
+            expected = buf.samples / peak_amplitude(buf.samples)
+            assert normalized.samples.tobytes() == expected.tobytes()
+            for held in (buf, normalized):
+                whole = held.samples
+                assert whole.dtype == np.float64 and not whole.flags.writeable
+                for a, b in window_edges(n):
+                    got = held.window(a, b)
+                    assert got.dtype == np.float64
+                    assert got.tobytes() == whole[max(a, 0) : max(b, 0)].tobytes(), (a, b)
+
+    @pytest.mark.parametrize("bits, audio_format, channels, rate", [
+        *((bits, fmt, channels, 16000) for bits, fmt in LAYOUTS for channels in (1, 2)),
+        (16, 1, 1, 8000), (16, 1, 1, 44100), (24, 1, 2, 44100), (32, 3, 2, 48000)])
+    def test_readers_agree_with_the_whole_array(self, tmp_path, bits, audio_format, channels,
+                                                rate):
+        # bursts of a 180 Hz tone between silences, the channels at different levels
+        burst = tone(180, 0.6, rate, amplitude=0.4)
+        mono = np.concatenate([np.zeros(rate // 4), burst, np.zeros(rate // 2), burst * 0.5,
+                               np.zeros(rate // 3)])
+        frames = np.stack([mono, mono * 0.7], axis=1)[:, :channels]
+        path = tmp_path / "a.wav"
+        write_wav_raw(path, encode(frames.ravel(), bits, audio_format), rate,
+                      channels=channels, bits=bits, audio_format=audio_format)
+        spans = [(200.0, 900.0), (1300.0, 1950.0), (0.0, 40.0)]
+        loaded = load_wav(path)
+        for held in (loaded, peak_normalize(loaded), prepare_audio(path)):
+            whole = AudioBuffer(held.samples, held.sample_rate)
+            for a, b in ((None, None), *spans):
+                got, want = (estimate_f0_track(x, None if a is None else [(a, b)]).frames
+                             for x in (held, whole))
+                assert got.tobytes() == want.tobytes()
+                bounds = None if a is None else SegmentBounds(int(a), int(b))
+                assert integrated_loudness(held, bounds) == integrated_loudness(whole, bounds)
+            assert detect_speech_segments(held) == detect_speech_segments(whole)
 
 
 class TestResample:

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosodika.audio import SegmentBounds, load_wav, peak_normalize, resample_to_16k
+from prosodika.audio import AudioBuffer, SegmentBounds, load_wav, peak_normalize, resample_to_16k
 from prosodika.pipeline import (
     ManifestError,
+    analyze_voice,
     annotate_pair,
     assign_segments,
     load_manifest,
@@ -15,6 +16,7 @@ from prosodika.pipeline import (
     prepare_audio,
     syntagms_from_textgrid,
 )
+from prosodika.pitch import _BATCH_FRAMES, estimate_f0_track
 from prosodika.prosody import PipelineConfig
 from prosodika.ssml import EmitOptions
 from prosodika.syntagms import WORD, FunctionWordLexicon, Syntagm, Token
@@ -26,6 +28,7 @@ from conftest import (
     EXPECTED_VOLUME_PCT,
     NAT_PAUSE_MS,
     build_e2e_corpus,
+    build_voice_track,
     long_textgrid,
     tone,
     traced_peak,
@@ -68,8 +71,24 @@ class TestPrepareAudio:
         prepare_audio(path)  # lazy set-up outside the trace
         buf, peak = traced_peak(prepare_audio, path)
         data_bytes = 2 * len(buf)
-        # the WAV's bytes and the array decoded from them, never a second array
-        assert peak <= buf.samples.nbytes + data_bytes + 2**20
+        # the WAV's bytes and one window of the peak scan, never a float64 voice
+        assert peak <= data_bytes + 2**20
+
+    def test_analyze_voice_holds_the_wav_and_one_f0_batch(self, tmp_path):
+        # 40 s of a 16-bit 16 kHz voice at half scale, so windows are divided by its peak
+        audio, intervals = build_voice_track(22, 200.0, -23.0, 0.5, 300)
+        write_wav_int16(tmp_path / "v.wav", audio * 0.5, 16000)
+        (tmp_path / "v.TextGrid").write_text(long_textgrid(intervals), encoding="utf-8")
+        args = (tmp_path / "v.wav", tmp_path / "v.TextGrid", FunctionWordLexicon.default(), None)
+        analyze_voice(*args)  # lazy set-up outside the trace
+        (buf, syntagms, _), peak = traced_peak(analyze_voice, *args)
+        assert len(buf) >= 40 * 16000 and len(syntagms) == 22
+        # one f0 batch's working set, measured on a buffer of exactly one
+        # batch of frames (a 160-sample hop and 640-sample frames at 16 kHz)
+        batch = AudioBuffer(tone(200, 3.0, 16000)[: (_BATCH_FRAMES - 1) * 160 + 640], 16000)
+        estimate_f0_track(batch)
+        _, f0_batch = traced_peak(estimate_f0_track, batch)
+        assert peak <= 2 * len(buf) + f0_batch + 2**20
 
 
 class TestAssignSegments:
@@ -234,7 +253,7 @@ class TestMeasureFeatures:
     def test_short_syntagm_loudness_missing(self):
         from prosodika.audio import AudioBuffer
         from prosodika.pipeline import measure_features
-        from prosodika.pitch import estimate_f0_track
+        from prosodika.pitch import _BATCH_FRAMES, estimate_f0_track
 
         from conftest import tone
 
@@ -250,7 +269,7 @@ class TestMeasureFeatures:
 
         from prosodika.audio import AudioBuffer
         from prosodika.pipeline import measure_features
-        from prosodika.pitch import estimate_f0_track
+        from prosodika.pitch import _BATCH_FRAMES, estimate_f0_track
 
         buf = AudioBuffer(np.zeros(16000), 16000)
         track = estimate_f0_track(buf)
